@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .errors import InvalidParameterError
 from .fields import DEFAULT_STENCIL, StencilConfig
@@ -114,8 +115,8 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
     use_cv = use_closed and system.has_closed_velocity
     use_cq = use_closed and system.has_closed_qpot
     status, n_filled, n_steps, stop_t, sx, sy, sz = kernels.integrate(
-        mode, system.sys_id, system._par, dim, coupling._kind, c0, c1,
-        _pad3(x0), _pad3(v0), t,
+        mode, system.sys_id, _scalars(system._par), dim, coupling._kind, c0, c1,
+        _scalars(_pad3(x0)), _scalars(_pad3(v0)), _scalars(t),
         _METHODS[cfg.method], float(cfg.dt), float(cfg.rtol), float(cfg.atol),
         int(cfg.max_steps), st.h, st.richardson, st.min_rho,
         use_cv, use_cq, xs, vs,
@@ -138,6 +139,12 @@ def _pad3(x):
     out = np.zeros(3)
     out[: x.size] = x
     return out
+
+
+def _scalars(a):
+    """Kernel input: the array under numba, else a list of Python floats,
+    which the plain-Python integrator computes with several times faster."""
+    return a if NUMBA_ENABLED else a.tolist()
 
 
 def integrate_guidance(system: WaveField, x0, t_grid,

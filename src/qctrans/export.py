@@ -25,8 +25,8 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .ensemble import EnsembleResult, trajectory_monitors
-from .errors import ConfigurationError, NodeProximityError
-from .fields import StencilConfig, quantum_potential
+from .errors import ConfigurationError
+from .fields import StencilConfig, _qpot
 from .systems import (
     WaveField,
     _hydrogen_singular_mask,
@@ -166,15 +166,13 @@ def compute_field(system: WaveField, cfg) -> FieldGrid:
     """
     xs = np.linspace(cfg.xlim[0], cfg.xlim[1], cfg.nx)
     ys = np.linspace(cfg.ylim[0], cfg.ylim[1], cfg.ny)
-    if system.dim == 1:
-        vals = np.empty((cfg.ny, cfg.nx))
-        for j, tj in enumerate(ys):
-            vals[j] = _field_row_1d(system, xs, float(tj), cfg.quantity)
-        return FieldGrid(cfg.quantity, "x", "t", xs, ys, vals)
     gx, gy = np.meshgrid(xs, ys)
-    if system.dim == 2:
+    if system.dim == 1:
+        # the y axis is time: every row is evaluated at its own t
+        pts, t, note = gx[..., None], gy, ""
+    elif system.dim == 2:
         pts = np.stack([gx, gy], axis=-1)
-        note = f"t={cfg.t:.10g}"
+        t, note = cfg.t, f"t={cfg.t:.10g}"
         x3, y3, z3 = gx, gy, None
     else:
         axes = {"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane]
@@ -186,14 +184,17 @@ def compute_field(system: WaveField, cfg) -> FieldGrid:
         table[rest] = off
         x3, y3, z3 = table["x"], table["y"], table["z"]
         pts = np.stack([x3, y3, z3], axis=-1)
-        note = f"plane={cfg.plane} {rest}={cfg.offset:.10g} t={cfg.t:.10g}"
-    rho = system.rho(pts, cfg.t)
+        t, note = cfg.t, f"plane={cfg.plane} {rest}={cfg.offset:.10g} t={cfg.t:.10g}"
+    rho = system.rho(pts, t)
     if cfg.quantity == "rho":
         return FieldGrid("rho", *_plane_labels(system, cfg), xs, ys, rho, note)
     if cfg.quantity == "S":
-        s = np.angle(system.psi(pts, cfg.t))
+        s = np.angle(system.psi(pts, t))
         s = np.where(rho >= _FIELD_STENCIL.min_rho, s, np.nan)
         return FieldGrid("S", *_plane_labels(system, cfg), xs, ys, s, note)
+    if system.dim == 1:
+        vals, ok = _qpot(system, pts, t, _FIELD_STENCIL)
+        return FieldGrid("Q", *_plane_labels(system, cfg), xs, ys, np.where(ok, vals, np.nan), note)
     vals = np.full(gx.shape, np.nan)
     if system.kind == "oscillator_2d":
         p = system.params
@@ -209,25 +210,11 @@ def compute_field(system: WaveField, cfg) -> FieldGrid:
 
 
 def _plane_labels(system, cfg):
+    if system.dim == 1:
+        return "x", "t"
     if system.dim == 2:
         return "x", "y"
     return tuple({"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane])
-
-
-def _field_row_1d(system, xs, t, quantity):
-    if quantity == "rho":
-        return system.rho(xs[:, None], t)
-    if quantity == "S":
-        rho = system.rho(xs[:, None], t)
-        s = np.angle(system.psi(xs[:, None], t))
-        return np.where(rho >= _FIELD_STENCIL.min_rho, s, np.nan)
-    out = np.empty(xs.shape[0])
-    for i, x in enumerate(xs):
-        try:
-            out[i] = quantum_potential(system, np.array([x]), t, _FIELD_STENCIL)
-        except NodeProximityError:
-            out[i] = np.nan
-    return out
 
 
 def write_field_csv(grid: FieldGrid, path: str, annotation: str = "") -> None:

@@ -1,18 +1,25 @@
 """Numeric field operators: density, guidance velocity, quantum potential.
 
-Operators accept either a :class:`~qctrans.systems.WaveField` (dispatched to
-the compiled kernels) or any callable ``psi(x, t) -> complex`` taking a
-position vector, which runs through the same centred-difference formulas in
-plain Python.  Both routes share the stencil contract:
+Every query runs through one array stencil.  It evaluates psi over the
+stencils of a stack of points (leading axes free, trailing axis = dim), in
+calls of a bounded number of stencil points, with
+:meth:`~qctrans.systems.WaveField.psi` for systems and a point-by-point
+adapter for any callable ``psi(x, t) -> complex`` taking a position vector.
+The stencil contract:
 
 * velocity from the phase gradient uses centre-referenced phase increments,
   so each half-stencil difference stays on the principal branch;
 * Q = -lap|psi| / (2 |psi|) by second central differences;
+* grad Q by centred differences of Q with outer step 10h, the Q probes
+  running at 5h;
 * Richardson extrapolation (h and 2h) is applied when enabled;
-* points with density below ``min_rho`` raise :class:`NodeProximityError`.
+* points with density below ``min_rho`` are masked; the point operators
+  raise :class:`NodeProximityError` there.
+
+``force`` is the exception: it calls the scalar integrator kernels, so the
+transition RHS and its point query stay one code path.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,13 +59,6 @@ def _pad3(x):
     return out
 
 
-def _guard(rho, x, t, min_rho):
-    if not (rho >= min_rho and math.isfinite(rho)):
-        raise NodeProximityError(
-            f"density {rho:.3e} below node guard {min_rho:.3e}", point=np.array(x), t=t
-        )
-
-
 def _raise_guarded(x, t, min_rho):
     raise NodeProximityError(
         f"field evaluation guarded near a node/singular set (min_rho {min_rho:.3e})",
@@ -66,153 +66,162 @@ def _raise_guarded(x, t, min_rho):
     )
 
 
+# ---------------------------------------------------------------------------
+# array core
+# ---------------------------------------------------------------------------
+
+# stencil points per psi call: bounds the temporaries of a field grid
+_CHUNK = 4096
+
+
+def _evaluator(psi):
+    """psi as an array function over a stack of points; t broadcasts."""
+    if isinstance(psi, WaveField):
+        return psi.psi
+
+    def per_point(pts, t):
+        out = np.empty(pts.shape[:-1], dtype=complex)
+        tt = np.broadcast_to(np.asarray(t, dtype=float), out.shape)
+        for i in np.ndindex(out.shape):
+            out[i] = psi(pts[i].copy(), float(tt[i]))
+        return out
+
+    return per_point
+
+
+def _stencil(psi, pts, t, st):
+    """psi at a stack of points and at +/- d along every axis, d = h (and 2h
+    with Richardson extrapolation).
+
+    Returns (centre, at) with ``at(ax, d)`` the values at the offset d along
+    axis ax.  psi sees whole stencils in calls of at most _CHUNK points, so
+    a point query is one call and a field grid holds no more at a time.
+    """
+    f = _evaluator(psi)
+    steps = (st.h, 2.0 * st.h) if st.richardson else (st.h,)
+    shifts = [(ax, s * d) for d in steps for ax in range(pts.shape[-1]) for s in (1.0, -1.0)]
+    flat = pts.reshape(-1, pts.shape[-1])
+    tt = np.broadcast_to(np.asarray(t, dtype=float), pts.shape[:-1]).reshape(1, -1)
+    vals = np.empty((1 + len(shifts), flat.shape[0]), dtype=complex)
+    step = max(1, _CHUNK // vals.shape[0])
+    for i in range(0, flat.shape[0], step):
+        q = np.repeat(flat[None, i : i + step], vals.shape[0], axis=0)
+        for k, (ax, d) in enumerate(shifts, 1):
+            q[k, :, ax] += d
+        vals[:, i : i + step] = f(q, tt[:, i : i + step])
+    vals = vals.reshape((-1,) + pts.shape[:-1])
+    index = {s: k for k, s in enumerate(shifts, 1)}
+    return vals[0], lambda ax, d: vals[index[ax, d]]
+
+
+def _guard(pc, st):
+    rho = pc.real * pc.real + pc.imag * pc.imag
+    return rho, (rho >= st.min_rho) & np.isfinite(rho)
+
+
+def _extrapolate(diff, st):
+    """diff(h), Richardson-combined with diff(2h) when enabled."""
+    d1 = diff(st.h)
+    if not st.richardson:
+        return d1
+    return (4.0 * d1 - diff(2.0 * st.h)) / 3.0
+
+
+def _grad_s(psi, pts, t, st):
+    """(u, ok): phase-gradient velocity over a stack of points."""
+    pc, at = _stencil(psi, pts, t, st)
+    _, ok = _guard(pc, st)
+    cc = pc.conj()
+
+    def slope(ax, d):
+        return (np.angle(at(ax, d) * cc) - np.angle(at(ax, -d) * cc)) / (2.0 * d)
+
+    with np.errstate(all="ignore"):
+        u = [_extrapolate(lambda d: slope(ax, d), st) for ax in range(pts.shape[-1])]
+        return np.stack(u, axis=-1), ok
+
+
+def _current(psi, pts, t, st):
+    """(u, ok): velocity Im(psi* grad psi) / |psi|^2 over a stack of points."""
+    pc, at = _stencil(psi, pts, t, st)
+    rho, ok = _guard(pc, st)
+    cc = pc.conj()
+
+    def slope(ax, d):
+        return (cc * (at(ax, d) - at(ax, -d))).imag / (2.0 * d)
+
+    with np.errstate(all="ignore"):
+        u = [_extrapolate(lambda d: slope(ax, d), st) / rho for ax in range(pts.shape[-1])]
+        return np.stack(u, axis=-1), ok
+
+
+def _qpot(psi, pts, t, st):
+    """(Q, ok): quantum potential over a stack of points."""
+    pc, at = _stencil(psi, pts, t, st)
+    _, ok = _guard(pc, st)
+    r0 = np.abs(pc)
+
+    def q(d):
+        lap = np.zeros(r0.shape)
+        for ax in range(pts.shape[-1]):
+            # second difference per axis first, so lap never carries |psi|
+            lap += np.abs(at(ax, d)) + np.abs(at(ax, -d)) - 2.0 * r0
+        return -0.5 * lap / (d * d * r0)
+
+    with np.errstate(all="ignore"):
+        return _extrapolate(q, st), ok
+
+
+def _grad_qpot(psi, pts, t, st):
+    """(grad Q, ok): centred differences of Q probes; ok needs every probe."""
+    d = 10.0 * st.h
+    dim = pts.shape[-1]
+    probes = np.repeat(pts[None], 2 * dim, axis=0)
+    for ax in range(dim):
+        probes[2 * ax, ..., ax] += d
+        probes[2 * ax + 1, ..., ax] -= d
+    q, ok = _qpot(psi, probes, t, StencilConfig(5.0 * st.h, st.richardson, st.min_rho))
+    g = np.stack([(q[2 * ax] - q[2 * ax + 1]) / (2.0 * d) for ax in range(dim)], axis=-1)
+    return g, ok.all(axis=0)
+
+
+def _at_point(core, psi, x, t, stencil):
+    st = stencil or DEFAULT_STENCIL
+    x = _point(x)
+    vals, ok = core(psi, x[None], float(t), st)
+    if not ok[0]:
+        _raise_guarded(x, t, st.min_rho)
+    return vals[0]
+
+
+# ---------------------------------------------------------------------------
+# point operators
+# ---------------------------------------------------------------------------
+
 def density(psi, x, t):
     """|psi(x, t)|^2 at a single point."""
-    x = _point(x)
-    if isinstance(psi, WaveField):
-        p = _pad3(x)
-        psi._check_t(t)
-        return kernels.density(psi.sys_id, psi._par, p[0], p[1], p[2], float(t))
-    w = psi(x, float(t))
-    return (w * w.conjugate()).real
+    w = _evaluator(psi)(_point(x)[None], float(t))[0]
+    return float(w.real * w.real + w.imag * w.imag)
 
 
 def velocity_grad_s(psi, x, t, stencil: StencilConfig | None = None):
     """Guidance velocity u = grad(S) from the wavefunction phase."""
-    st = stencil or DEFAULT_STENCIL
-    x = _point(x)
-    if isinstance(psi, WaveField):
-        psi._check_t(t)
-        p = _pad3(x)
-        out = np.zeros(3)
-        rc = kernels.velocity_grad_s(
-            psi.sys_id, psi._par, psi.dim, p[0], p[1], p[2], float(t),
-            st.h, st.richardson, st.min_rho, out,
-        )
-        if rc != 0:
-            _raise_guarded(x, t, st.min_rho)
-        return out[: psi.dim].copy()
-    return _callable_velocity_grad_s(psi, x, float(t), st)
-
-
-def _callable_velocity_grad_s(psi, x, t, st):
-    pc = psi(x, t)
-    rho = abs(pc) ** 2
-    _guard(rho, x, t, st.min_rho)
-    cc = pc.conjugate()
-    out = np.zeros(x.size)
-    for ax in range(x.size):
-        def ph(d):
-            xp = x.copy()
-            xp[ax] += d
-            return cmath.phase(psi(xp, t) * cc)
-
-        d1 = (ph(st.h) - ph(-st.h)) / (2.0 * st.h)
-        if st.richardson:
-            d2 = (ph(2.0 * st.h) - ph(-2.0 * st.h)) / (4.0 * st.h)
-            out[ax] = (4.0 * d1 - d2) / 3.0
-        else:
-            out[ax] = d1
-    return out
+    return _at_point(_grad_s, psi, x, t, stencil)
 
 
 def velocity_current(psi, x, t, stencil: StencilConfig | None = None):
     """Velocity from the probability current, u = Im(psi* grad psi)/|psi|^2."""
-    st = stencil or DEFAULT_STENCIL
-    x = _point(x)
-    if isinstance(psi, WaveField):
-        psi._check_t(t)
-        p = _pad3(x)
-        out = np.zeros(3)
-        rc = kernels.velocity_current(
-            psi.sys_id, psi._par, psi.dim, p[0], p[1], p[2], float(t),
-            st.h, st.richardson, st.min_rho, out,
-        )
-        if rc != 0:
-            _raise_guarded(x, t, st.min_rho)
-        return out[: psi.dim].copy()
-    pc = psi(x, float(t))
-    rho = abs(pc) ** 2
-    _guard(rho, x, t, st.min_rho)
-    cc = pc.conjugate()
-    out = np.zeros(x.size)
-    for ax in range(x.size):
-        def dpsi(d):
-            xp = x.copy()
-            xp[ax] += d
-            return psi(xp, float(t))
-
-        d1 = (cc * (dpsi(st.h) - dpsi(-st.h))).imag / (2.0 * st.h)
-        if st.richardson:
-            d2 = (cc * (dpsi(2.0 * st.h) - dpsi(-2.0 * st.h))).imag / (4.0 * st.h)
-            out[ax] = (4.0 * d1 - d2) / (3.0 * rho)
-        else:
-            out[ax] = d1 / rho
-    return out
+    return _at_point(_current, psi, x, t, stencil)
 
 
 def quantum_potential(psi, x, t, stencil: StencilConfig | None = None):
     """Q = -lap(R)/(2R), R = |psi|, by second central differences."""
-    st = stencil or DEFAULT_STENCIL
-    x = _point(x)
-    if isinstance(psi, WaveField):
-        psi._check_t(t)
-        p = _pad3(x)
-        q, rc = kernels.quantum_potential(
-            psi.sys_id, psi._par, psi.dim, p[0], p[1], p[2], float(t),
-            st.h, st.richardson, st.min_rho,
-        )
-        if rc != 0:
-            _raise_guarded(x, t, st.min_rho)
-        return q
-    return _callable_qpot(psi, x, float(t), st)
-
-
-def _callable_qpot(psi, x, t, st):
-    r0 = abs(psi(x, t))
-    _guard(r0 * r0, x, t, st.min_rho)
-
-    def lap(h):
-        acc = 0.0
-        for ax in range(x.size):
-            xp = x.copy()
-            xp[ax] += h
-            xm = x.copy()
-            xm[ax] -= h
-            acc += abs(psi(xp, t)) + abs(psi(xm, t)) - 2.0 * r0
-        return acc / (h * h)
-
-    q1 = -0.5 * lap(st.h) / r0
-    if st.richardson:
-        q2 = -0.5 * lap(2.0 * st.h) / r0
-        return (4.0 * q1 - q2) / 3.0
-    return q1
+    return float(_at_point(_qpot, psi, x, t, stencil))
 
 
 def qpot_gradient(psi, x, t, stencil: StencilConfig | None = None):
-    """grad Q by centred differences of Q with outer step 2h."""
-    st = stencil or DEFAULT_STENCIL
-    x = _point(x)
-    if isinstance(psi, WaveField):
-        psi._check_t(t)
-        p = _pad3(x)
-        out = np.zeros(3)
-        rc = kernels.grad_quantum_potential(
-            psi.sys_id, psi._par, psi.dim, p[0], p[1], p[2], float(t),
-            st.h, st.richardson, st.min_rho, out,
-        )
-        if rc != 0:
-            _raise_guarded(x, t, st.min_rho)
-        return out[: psi.dim].copy()
-    d = 2.0 * st.h
-    out = np.zeros(x.size)
-    for ax in range(x.size):
-        xp = x.copy()
-        xp[ax] += d
-        xm = x.copy()
-        xm[ax] -= d
-        out[ax] = (_callable_qpot(psi, xp, float(t), st) - _callable_qpot(psi, xm, float(t), st)) / (2.0 * d)
-    return out
+    """grad Q by centred differences of Q with outer step 10h."""
+    return _at_point(_grad_qpot, psi, x, t, stencil)
 
 
 def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = None,

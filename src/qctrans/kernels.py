@@ -1,9 +1,11 @@
-"""Scalar hot-path kernels: wavefunctions, derived fields, integrators.
+"""Scalar integrator kernels: wavefunctions, the right-hand side, DP5(4)/RK4.
 
-Everything in this module is compiled with numba (see ``_jit``); the same
-source runs as plain Python when the JIT is disabled.  Systems and coupling
-schedules are passed as integer codes plus flat float64 parameter arrays so a
-single compiled integrator serves every configuration:
+This module holds only what ``integrate`` and ``fields.force`` call; field
+queries go through the array stencil in :mod:`qctrans.fields`.  Everything
+here is compiled with numba (see ``_jit``); the same source runs as plain
+Python when the JIT is disabled.  Systems and coupling schedules are passed
+as integer codes plus flat float64 parameter arrays so a single compiled
+integrator serves every configuration:
 
 * double slit   params = (rho0, u, X)          dim 1
 * oscillator    params = (k0, alpha, omega)    dim 2
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from ._jit import njit
+from ._jit import NUMBA_ENABLED, njit
 
 # system codes
 DOUBLE_SLIT = 0
@@ -214,28 +216,6 @@ def velocity_grad_s(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out):
 
 
 @njit
-def velocity_current(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out):
-    """Current-based velocity u = Im(psi* grad psi) / |psi|^2."""
-    pc = psi(sys_id, par, x0, x1, x2, t)
-    rho = pc.real * pc.real + pc.imag * pc.imag
-    if not (rho >= min_rho and math.isfinite(rho)):
-        return 1
-    cc = pc.conjugate()
-    for ax in range(dim):
-        pp = _psi_off(sys_id, par, x0, x1, x2, t, ax, h)
-        pm = _psi_off(sys_id, par, x0, x1, x2, t, ax, -h)
-        d1 = (cc * (pp - pm)).imag / (2.0 * h)
-        if rich:
-            pp2 = _psi_off(sys_id, par, x0, x1, x2, t, ax, 2.0 * h)
-            pm2 = _psi_off(sys_id, par, x0, x1, x2, t, ax, -2.0 * h)
-            d2 = (cc * (pp2 - pm2)).imag / (4.0 * h)
-            out[ax] = (4.0 * d1 - d2) / (3.0 * rho)
-        else:
-            out[ax] = d1 / rho
-    return 0
-
-
-@njit
 def quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho):
     """Q = -lap(R) / (2 R) with R = |psi|.  Returns (value, status)."""
     pc = psi(sys_id, par, x0, x1, x2, t)
@@ -328,42 +308,15 @@ def closed_velocity(sys_id, par, x0, x1, x2, out):
 
 
 @njit
-def closed_qpot(sys_id, par, x0, x1, x2):
-    """Analytic quantum potential.  Returns (value, status).
-
-    Oscillator: compact equivalent of the entangled-state expression,
-    Q = -(w^2 r^4 - 4 w r^2 + 2 r^2/g - N/g) / (2 r^2) rewritten as below with
-    g = x^2 + 2 x y cos(alpha) + y^2 and N = r^2 (1 + cos^2) + 4 x y cos.
-    Hydrogen: stationary-state identity Q = E_n - V - m^2 / (2 s^2).
-    """
-    if sys_id == OSCILLATOR:
-        w = par[2]
-        c = math.cos(par[1])
-        r2 = x0 * x0 + x1 * x1
-        g = r2 + 2.0 * c * x0 * x1
-        if g < _TINY:
-            return 0.0, 1
-        n = r2 * (1.0 + c * c) + 4.0 * c * x0 * x1
-        return -0.5 * (w * w * r2 - 4.0 * w + 2.0 / g - n / (g * g)), 0
-    if sys_id == HYDROGEN:
-        nq = par[0]
-        mq = par[2]
-        r2 = x0 * x0 + x1 * x1 + x2 * x2
-        if r2 < _TINY:
-            return 0.0, 1
-        q = -0.5 / (nq * nq) + 1.0 / math.sqrt(r2)
-        if mq != 0.0:
-            s2 = x0 * x0 + x1 * x1
-            if s2 < _TINY:
-                return 0.0, 1
-            q -= 0.5 * mq * mq / s2
-        return q, 0
-    return 0.0, 1
-
-
-@njit
 def closed_grad_qpot(sys_id, par, x0, x1, x2, out):
-    """Analytic grad Q matching ``closed_qpot``.  Status 1 on singular sets."""
+    """Analytic grad Q.  Status 1 on singular sets.
+
+    Oscillator: gradient of the compact form of the entangled-state Q,
+    Q = -(w^2 r^2 - 4 w + 2/g - N/g^2) / 2 with g = x^2 + 2 x y cos(alpha)
+    + y^2 and N = r^2 (1 + cos^2) + 4 x y cos; the published shape is
+    ``systems.oscillator_qpot_closed``.
+    Hydrogen: gradient of the stationary-state identity Q = E_n - V - m^2 / (2 s^2).
+    """
     if sys_id == OSCILLATOR:
         w = par[2]
         c = math.cos(par[1])
@@ -524,6 +477,19 @@ _E7 = -1.0 / 40.0
 
 _MAX_HALVINGS = 40
 
+if NUMBA_ENABLED:
+
+    @njit
+    def _buf(n):
+        return np.zeros(n)
+
+else:
+
+    def _buf(n):
+        # plain Python computes several times faster on floats than on the
+        # numpy scalars an array hands out
+        return [0.0] * n
+
 
 @njit
 def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
@@ -535,21 +501,23 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     velocity rows hold the interpolant derivative, i.e. the guidance field
     along the path.  Returns (status, n_filled, n_steps, stop_t, sx, sy, sz)
     where the stop fields locate the failure for status == SINGULAR_STOP.
+    Without numba, ``par``, ``x0v``, ``v0v`` and ``t_grid`` arrive as lists
+    of Python floats (see ``dynamics._run``).
     """
-    nt = t_grid.shape[0]
+    nt = len(t_grid)
     nvar = dim if mode == GUIDANCE else 2 * dim
-    y = np.zeros(6)
-    yn = np.zeros(6)
-    ytmp = np.zeros(6)
-    f0 = np.zeros(6)
-    k2 = np.zeros(6)
-    k3 = np.zeros(6)
-    k4 = np.zeros(6)
-    k5 = np.zeros(6)
-    k6 = np.zeros(6)
-    k7 = np.zeros(6)
-    s3a = np.zeros(3)
-    s3b = np.zeros(3)
+    y = _buf(6)
+    yn = _buf(6)
+    ytmp = _buf(6)
+    f0 = _buf(6)
+    k2 = _buf(6)
+    k3 = _buf(6)
+    k4 = _buf(6)
+    k5 = _buf(6)
+    k6 = _buf(6)
+    k7 = _buf(6)
+    s3a = _buf(3)
+    s3b = _buf(3)
     for i in range(dim):
         y[i] = x0v[i]
         if mode == TRANSITION:

@@ -9,11 +9,14 @@ Three exactly solvable configurations (hbar = m = 1):
   V = k0 r^2 / 2, omega = sqrt(k0).
 * ``hydrogen`` -- Coulomb eigenstate (n, l, m); V = -1/r.
 
-Functions here are numpy-vectorized over positions (trailing axis = dim) and
-serve as grid evaluators and as independent cross-checks of the scalar
-kernels in :mod:`qctrans.kernels`.  Closed-form density/phase/velocity/Q
-expressions are kept in their published shape on purpose, even where a
-shorter algebraic form exists, so they stay an independent route.
+Functions here are numpy-vectorized over positions (trailing axis = dim).
+``WaveField.psi`` is what every field query evaluates, through the array
+stencil of :mod:`qctrans.fields`, as well as the samplers and field grids;
+the scalar kernels in :mod:`qctrans.kernels` carry their own psi for the
+integrator, so the two routes cross-check each other.  Closed-form
+density/phase/velocity/Q expressions are kept in their published shape on
+purpose, even where a shorter algebraic form exists, so they stay an
+independent route.
 """
 
 import inspect
@@ -87,7 +90,7 @@ class HydrogenParams:
 
 
 class WaveField:
-    """One analytic system bundled with its kernel dispatch codes."""
+    """One analytic system: array psi for queries, kernel codes for the integrator."""
 
     def __init__(self, kind: str, params):
         self.kind = kind

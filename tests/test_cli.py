@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import qctrans as qt
+from qctrans import systems as qs
 from qctrans.cli import main
 from qctrans.export import load_result
 
@@ -236,6 +238,12 @@ def test_field_quantity_rho_has_no_mask(tmp_path, capsys):
 
 
 # --- pure-python fallback parity ------------------------------------------
+# With numba the in-process run is compiled and the QCTRANS_NO_NUMBA run is
+# the fallback.  Without numba both runs would be the same fallback, so the
+# tests check the run against a route that shares no code with the kernels
+# instead: the numpy closed forms in systems.py and the array stencil in
+# fields.py, at the start rows, where the sampled velocity is the kernel's
+# field value.
 
 def _run_nonumba(cfg, out):
     env = dict(os.environ, QCTRANS_NO_NUMBA="1")
@@ -247,12 +255,25 @@ def _run_nonumba(cfg, out):
     assert proc.returncode == 0, proc.stderr
 
 
+def _start_rows(path, dim):
+    _, rows = _read_csv_rows(path)
+    rows = [[float(c) for c in r[3 : 3 + 2 * dim]] for r in rows if float(r[2]) == 0.0]
+    rows = np.array(rows)
+    return rows[:, :dim], rows[:, dim:]
+
+
 def test_fallback_matches_compiled_closed_path(tmp_path, capsys):
     # the oscillator guidance flow uses closed-form fields: the pure-python
     # path must reproduce the compiled run bit for bit
     cfg = _cfg(tmp_path, _OSC_GUIDANCE)
     a, b = tmp_path / "jit", tmp_path / "plain"
     assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
+    if not qt.NUMBA_ENABLED:
+        x, v = _start_rows(a / "cfg.csv", 2)
+        ref = qs.oscillator_velocity_closed(qt.oscillator_2d().params, x[:, 0], x[:, 1])
+        assert len(x) == 3
+        assert np.allclose(v, ref, rtol=1e-12, atol=0.0)
+        return
     _run_nonumba(cfg, str(b))
     assert (a / "cfg.csv").read_bytes() == (b / "cfg.csv").read_bytes()
 
@@ -263,6 +284,12 @@ def test_fallback_matches_compiled_stencil_path(tmp_path, capsys):
     cfg = _cfg(tmp_path, _DS_GUIDANCE)
     a, b = tmp_path / "jit", tmp_path / "plain"
     assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
+    if not qt.NUMBA_ENABLED:
+        x, v = _start_rows(a / "cfg.csv", 1)
+        ref = np.array([qt.velocity_grad_s(qt.double_slit(), p, 0.0) for p in x])
+        assert len(x) == 4
+        assert np.allclose(v, ref, atol=1e-9, rtol=0.0)
+        return
     _run_nonumba(cfg, str(b))
 
     def grab(path):

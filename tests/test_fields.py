@@ -166,10 +166,47 @@ def test_force_scales_with_coupling():
 
 
 def test_qpot_gradient_matches_closed_derivative():
+    # one stencil contract for systems and bare callables of the same state
     osc = qt.oscillator_2d()
-    for x, y in [(0.6, 0.5), (1.4, -0.3)]:
-        r = math.hypot(x, y)
-        dqdr = -r + 1 / r ** 3
-        ref = np.array([dqdr * x / r, dqdr * y / r])
-        g = qt.qpot_gradient(osc, np.array([x, y]), 0.0)
-        assert np.abs(g - ref).max() < 1e-5
+    bare = lambda x, t: qs.oscillator_psi(osc.params, x[0], x[1], t)
+    for psi in (osc, bare):
+        for x, y in [(0.6, 0.5), (1.4, -0.3)]:
+            r = math.hypot(x, y)
+            dqdr = -r + 1 / r ** 3
+            ref = np.array([dqdr * x / r, dqdr * y / r])
+            g = qt.qpot_gradient(psi, np.array([x, y]), 0.0)
+            assert np.abs(g - ref).max() < 1e-5
+
+
+def test_array_stencil_matches_integrator_stencil():
+    # the double slit has no closed forms, so the field queries (array
+    # stencil over systems.psi) and the integrator (scalar kernels) share
+    # no code below the stencil contract
+    ds = qt.double_slit()
+    for x, t in [(1.1, 0.8), (-0.3, 0.2), (2.4, 1.5), (-3.0, 0.0)]:
+        v = qt.velocity_grad_s(ds, np.array([x]), t)
+        tr = qt.integrate_guidance(ds, [x], [t, t + 0.01], use_closed=False)
+        assert np.abs(v - tr.v[0]).max() < 1e-9
+        g = qt.qpot_gradient(ds, np.array([x]), t)
+        f = qt.force(ds, qt.Constant(1.0), np.array([x]), t, use_closed=False)
+        assert np.abs(g + f).max() < 1e-5
+
+
+def test_field_map_masks_exactly_the_guarded_cells():
+    # a window wide enough that the packet tails fall under the 1e-250
+    # floor of field maps: the masked cells of the array Q map are the
+    # cells where the point query raises
+    ds = qt.double_slit()
+    cfg = qt.FieldGridConfig(quantity="Q", xlim=(-30.0, 30.0), ylim=(0.0, 1.0), nx=121, ny=5)
+    grid = qt.compute_field(ds, cfg)
+    guarded = np.zeros(grid.values.shape, dtype=bool)
+    point = np.full(grid.values.shape, np.nan)
+    for j, t in enumerate(grid.ys):
+        for i, x in enumerate(grid.xs):
+            try:
+                point[j, i] = qt.quantum_potential(ds, np.array([x]), t, qt.StencilConfig(min_rho=1e-250))
+            except qt.NodeProximityError:
+                guarded[j, i] = True
+    assert 0 < guarded.sum() < guarded.size
+    assert np.array_equal(np.isnan(grid.values), guarded)
+    assert np.array_equal(grid.values[~guarded], point[~guarded])

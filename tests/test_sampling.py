@@ -116,6 +116,29 @@ def test_envelope_estimate_matches_density_peak():
     assert env == pytest.approx(1.5 * math.exp(-1.0) / math.pi, rel=1e-5)
 
 
+def test_guarded_rejection_starts_share_one_envelope_scan(monkeypatch):
+    # a raised node guard sends many hydrogen starts back for a redraw; the
+    # redraws reuse the ensemble's envelope instead of scanning again
+    from qctrans import sampling
+
+    scans = []
+
+    def counted(*args):
+        scans.append(args[1])
+        return estimate_envelope(*args)
+
+    monkeypatch.setattr(sampling, "estimate_envelope", counted)
+    hyd = qt.hydrogen()
+    sampler = qt.SamplerConfig(mode="rejection", n=50, seed=3)
+    drawn = qt.sample_positions(hyd, sampler)
+    assert len(scans) == 1
+    pos, _ = sample_initial_conditions(hyd, sampler, 0.0, qt.StencilConfig(min_rho=5e-4))
+    assert len(scans) == 2
+    redrawn = np.any(pos != drawn, axis=1)
+    assert redrawn.sum() >= 10
+    assert np.array_equal(pos[~redrawn], drawn[~redrawn])
+
+
 def test_rejection_mean_matches_quadrature():
     osc = qt.oscillator_2d()
     pts = qt.sample_positions(osc, qt.SamplerConfig(n=20000, seed=4))
