@@ -1,6 +1,7 @@
 """JIT selection layer.
 
-Hot kernels are compiled with numba by default.  Setting the environment
+Hot kernels are compiled with numba when it is installed (the optional
+``jit`` extra); without it they run as plain Python.  Setting the environment
 variable ``QCTRANS_NO_NUMBA=1`` (or ``true``/``yes``/``on``) makes ``njit`` a
 no-op so the identical source runs as plain Python/numpy; results are the
 same, only slower.  The flag is read once at import time.
@@ -19,7 +20,7 @@ NUMBA_ENABLED = not _disabled()
 if NUMBA_ENABLED:
     try:
         from numba import njit as _numba_njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is the optional ``jit`` extra
         NUMBA_ENABLED = False
 
 

@@ -138,13 +138,17 @@ def distribution_metrics(system: WaveField, trajectories, t_grid) -> dict:
     if not done:
         return out
     out["ks_critical_1pct"] = 1.6276 / math.sqrt(len(done))
+    # only the double slit's |psi|^2 moves; the other states are stationary
+    stationary = system.kind != "double_slit"
     for axis in _KS_AXES[system.kind]:
         vals = []
+        cdf = None
         for i in idxs:
-            fn, lo, hi = marginal_density_1d(
-                system, float(t_grid[i]), axis="z" if axis == "z" else "auto"
-            )
-            cdf = GridCDF(fn, lo, hi, n_cells=_KS_CELLS[system.kind])
+            if cdf is None or not stationary:
+                fn, lo, hi = marginal_density_1d(
+                    system, float(t_grid[i]), axis="z" if axis == "z" else "auto"
+                )
+                cdf = GridCDF(fn, lo, hi, n_cells=_KS_CELLS[system.kind])
             samples = _axis_samples(system, axis, np.stack([tr.x[i] for tr in done]))
             vals.append(ks_distance(samples, cdf.cdf))
         out["ks"][axis] = vals

@@ -242,7 +242,7 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
     rc = kernels.force(
         system.sys_id, system._par, system.dim, coupling._kind, c0, c1,
         p[0], p[1], p[2], float(t), st.h, st.richardson, st.min_rho,
-        bool(use_closed), out, scratch,
+        bool(use_closed and system.has_closed_qpot), out, scratch,
     )
     if rc != 0:
         _raise_guarded(x, t, st.min_rho)

@@ -270,16 +270,6 @@ def grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, ou
 
 
 @njit
-def has_closed_velocity(sys_id):
-    return sys_id == OSCILLATOR or sys_id == HYDROGEN
-
-
-@njit
-def has_closed_qpot(sys_id):
-    return sys_id == OSCILLATOR or sys_id == HYDROGEN
-
-
-@njit
 def closed_velocity(sys_id, par, x0, x1, x2, out):
     """Analytic guidance velocity for the stationary systems."""
     if sys_id == OSCILLATOR:
@@ -322,49 +312,36 @@ def closed_grad_qpot(sys_id, par, x0, x1, x2, out):
         c = math.cos(par[1])
         r2 = x0 * x0 + x1 * x1
         g = r2 + 2.0 * c * x0 * x1
-        if g < _TINY:
+        g2 = g * g
+        g3 = g2 * g
+        if g3 < _TINY:
             return 1
         n = r2 * (1.0 + c * c) + 4.0 * c * x0 * x1
         gx = 2.0 * (x0 + c * x1)
         gy = 2.0 * (x1 + c * x0)
         nx = 2.0 * x0 * (1.0 + c * c) + 4.0 * c * x1
         ny = 2.0 * x1 * (1.0 + c * c) + 4.0 * c * x0
-        g2 = g * g
-        g3 = g2 * g
         out[0] = -0.5 * (2.0 * w * w * x0 - 2.0 * gx / g2 - nx / g2 + 2.0 * n * gx / g3)
         out[1] = -0.5 * (2.0 * w * w * x1 - 2.0 * gy / g2 - ny / g2 + 2.0 * n * gy / g3)
         return 0
     if sys_id == HYDROGEN:
         mq = par[2]
         r2 = x0 * x0 + x1 * x1 + x2 * x2
-        if r2 < _TINY:
-            return 1
         r3 = r2 * math.sqrt(r2)
+        if r3 < _TINY:
+            return 1
         out[0] = -x0 / r3
         out[1] = -x1 / r3
         out[2] = -x2 / r3
         if mq != 0.0:
             s2 = x0 * x0 + x1 * x1
-            if s2 < _TINY:
-                return 1
             s4 = s2 * s2
+            if s4 < _TINY:
+                return 1
             out[0] += mq * mq * x0 / s4
             out[1] += mq * mq * x1 / s4
         return 0
     return 1
-
-
-@njit
-def potential_v(sys_id, par, x0, x1, x2):
-    """Classical potential: 0, k0 r^2 / 2, or -1/r."""
-    if sys_id == OSCILLATOR:
-        return 0.5 * par[0] * (x0 * x0 + x1 * x1)
-    if sys_id == HYDROGEN:
-        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if r < _TINY:
-            return -math.inf
-        return -1.0 / r
-    return 0.0
 
 
 @njit
@@ -375,9 +352,9 @@ def grad_potential_v(sys_id, par, x0, x1, x2, out):
         return 0
     if sys_id == HYDROGEN:
         r2 = x0 * x0 + x1 * x1 + x2 * x2
-        if r2 < _TINY:
-            return 1
         r3 = r2 * math.sqrt(r2)
+        if r3 < _TINY:
+            return 1
         out[0] = x0 / r3
         out[1] = x1 / r3
         out[2] = x2 / r3
@@ -397,7 +374,7 @@ def force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_
         rho = density(sys_id, par, x0, x1, x2, t)
         if not (rho >= min_rho and math.isfinite(rho)):
             return 1
-        if use_closed_q and has_closed_qpot(sys_id):
+        if use_closed_q:
             st = closed_grad_qpot(sys_id, par, x0, x1, x2, out)
         else:
             st = grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out)
@@ -417,12 +394,14 @@ def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_cv, u
 
     Guidance: y = x[0:dim], dy = u(x, t).
     Transition: y = (x[0:dim], v[0:dim]), dy = (v, -grad(V + P Q)).
+    ``use_cv``/``use_cq`` select the closed forms; the caller sets them only
+    for systems that have them (``WaveField.has_closed_*``).
     """
     x0 = y[0]
     x1 = y[1] if dim > 1 else 0.0
     x2 = y[2] if dim > 2 else 0.0
     if mode == GUIDANCE:
-        if use_cv and has_closed_velocity(sys_id):
+        if use_cv:
             rho = density(sys_id, par, x0, x1, x2, t)
             if not (rho >= min_rho and math.isfinite(rho)):
                 return 1

@@ -97,64 +97,67 @@ def _domain(system, sampler):
 
 
 class GridCDF:
-    """Numeric CDF of a 1D non-negative density on [lo, hi].
+    """Numeric CDF of a 1D non-negative density on [lo, hi], kept as a table.
 
-    Composite Simpson per cell (nodes + midpoints), refined until the total
-    mass is stable to 1e-12 relative; point queries finish the partial cell
-    with 3-point Gauss-Legendre.  Quantiles are found by bisection from the
-    full symmetric interval, so an antisymmetric-density midpoint level hits
-    the centre exactly.
+    The density is evaluated once per abscissa, at the nodes and cell
+    midpoints of a uniform grid.  The cells halve until the composite
+    Simpson mass is stable to 1e-12 relative; the old midpoints become
+    nodes, so an N-cell table costs 2N + 1 density values.  After
+    construction every answer reads the table: ``cdf`` adds the exact
+    integral of the partial cell's Simpson parabola, so the CDF is
+    continuous at every node, and ``mean``/``var`` are Simpson sums.
+    Quantiles are found by bisection from the full symmetric interval, so an
+    antisymmetric-density midpoint level hits the centre exactly.
     """
 
-    _GL_X = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
-    _GL_W = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
     _CHUNK = 1024  # marginal callbacks broadcast an inner quadrature axis
 
     def __init__(self, fn, lo, hi, n_cells=4096, tol=1e-12, max_cells=1 << 19):
-        self.fn = fn
         self.lo = float(lo)
         self.hi = float(hi)
+
+        def evaluate(x):
+            out = np.empty(x.shape)
+            for i in range(0, x.size, self._CHUNK):
+                out[i : i + self._CHUNK] = fn(x[i : i + self._CHUNK])
+            return out
+
         n = int(n_cells)
+        nodes = np.linspace(self.lo, self.hi, n + 1)
+        f_nodes = evaluate(nodes)
         total_prev = None
         while True:
-            nodes = np.linspace(self.lo, self.hi, n + 1)
             mids = 0.5 * (nodes[:-1] + nodes[1:])
-            fn_nodes = self._eval(nodes)
-            fn_mids = self._eval(mids)
-            w = np.diff(nodes)
-            cells = w / 6.0 * (fn_nodes[:-1] + 4.0 * fn_mids + fn_nodes[1:])
+            f_mids = evaluate(mids)
+            cells = _simpson_cells(nodes, f_nodes, f_mids)
             total = float(cells.sum())
             if total_prev is not None and abs(total - total_prev) <= tol * max(total, 1e-300):
                 break
             if n >= max_cells:
                 break
             total_prev = total
+            nodes = _interleave(nodes, mids)
+            f_nodes = _interleave(f_nodes, f_mids)
             n *= 2
         if not (total > 0 and math.isfinite(total)):
             raise ConfigurationError(f"density mass on [{lo}, {hi}] is {total}")
         self.nodes = nodes
+        self.f_nodes = f_nodes
+        self.f_mids = f_mids
         self.cum = np.concatenate([[0.0], np.cumsum(cells)])
         self.total = total
 
-    def _eval(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size <= self._CHUNK:
-            return np.asarray(self.fn(x), dtype=float)
-        out = np.empty(x.shape)
-        for i in range(0, x.size, self._CHUNK):
-            out[i : i + self._CHUNK] = np.asarray(self.fn(x[i : i + self._CHUNK]), dtype=float)
-        return out
-
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.lo, self.hi)
+        xc = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
         idx = np.clip(np.searchsorted(self.nodes, xc, side="right") - 1, 0, len(self.nodes) - 2)
         a = self.nodes[idx]
-        half = 0.5 * (xc - a)
-        part = np.zeros_like(xc)
-        for gx, gw in zip(self._GL_X, self._GL_W):
-            part += gw * self._eval(a + half * (1.0 + gx))
-        part *= half
+        w = self.nodes[idx + 1] - a
+        u = (xc - a) / w
+        f0, fm, f1 = self.f_nodes[idx], self.f_mids[idx], self.f_nodes[idx + 1]
+        # integral over [a, a + u w] of the parabola through the cell's three
+        # stored values; at u = 1 it is the cell's Simpson sum
+        part = w * u * (f0 + u * (0.5 * (4.0 * fm - 3.0 * f0 - f1)
+                                  + u * (2.0 / 3.0) * (f0 - 2.0 * fm + f1)))
         return np.clip((self.cum[idx] + part) / self.total, 0.0, 1.0)
 
     def ppf(self, levels, tol=1e-10):
@@ -188,19 +191,36 @@ class GridCDF:
     def _moment(self, g):
         nodes = self.nodes
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        w = np.diff(nodes)
-        fn_nodes = self._eval(nodes) * g(nodes)
-        fn_mids = self._eval(mids) * g(mids)
-        cells = w / 6.0 * (fn_nodes[:-1] + 4.0 * fn_mids + fn_nodes[1:])
+        cells = _simpson_cells(nodes, self.f_nodes * g(nodes), self.f_mids * g(mids))
         return float(cells.sum()) / self.total
+
+
+def _simpson_cells(nodes, f_nodes, f_mids):
+    return np.diff(nodes) / 6.0 * (f_nodes[:-1] + 4.0 * f_mids + f_nodes[1:])
+
+
+def _interleave(a, b):
+    """a[0], b[0], a[1], ..., b[-1], a[-1]; a has one element more than b."""
+    out = np.empty(a.size + b.size)
+    out[0::2] = a
+    out[1::2] = b
+    return out
 
 
 def marginal_density_1d(system: WaveField, t=0.0, axis="auto"):
     """Vectorized 1D marginal density and its natural support.
 
     Returns (fn, lo, hi).  Marginals: x for the double slit, polar radius for
-    the oscillator, cylindrical radius 's' or 'z' for hydrogen.
+    the oscillator, cylindrical radius 's' or height 'z' for hydrogen.
+    ``axis`` is "auto" (the first of these) for every system; hydrogen also
+    takes "s" and "z".
     """
+    axes = ("auto", "s", "z") if system.kind == "hydrogen" else ("auto",)
+    if axis not in axes:
+        raise InvalidParameterError(
+            f"{system.kind} has no marginal axis {axis!r}; expected one of {axes}"
+        )
+    system._check_t(t)
     if system.kind == "double_slit":
         (dom,) = default_domain(system)
 
@@ -209,15 +229,14 @@ def marginal_density_1d(system: WaveField, t=0.0, axis="auto"):
 
         return fn, dom[0], dom[1]
     if system.kind == "oscillator_2d":
+        # |psi|^2 = (w^2 / pi) (x^2 + 2 x y cos(alpha) + y^2) e^(-w r^2) at
+        # every t, and the angular mean of the bracket is r^2 for every alpha
+        w = system.params.omega
         hi = default_domain(system)[0][1]
 
         def fn(r):
             r = np.asarray(r, dtype=float)
-            theta = np.linspace(0.0, 2.0 * math.pi, 257)[:-1]
-            pts = np.stack(
-                [r[..., None] * np.cos(theta), r[..., None] * np.sin(theta)], axis=-1
-            )
-            return r * system.rho(pts, t).mean(axis=-1) * 2.0 * math.pi
+            return 2.0 * w * w * r**3 * np.exp(-w * r * r)
 
         return fn, 0.0, hi
     # hydrogen: |psi|^2 is phi-independent, so the phi integral is 2 pi

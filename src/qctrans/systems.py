@@ -430,20 +430,3 @@ def hydrogen_qpot_closed(p: HydrogenParams, x, y, z):
     if p.m != 0:
         q = q - 0.5 * p.m * p.m / (x * x + y * y)
     return q
-
-
-def hydrogen_closed_fields(p: HydrogenParams, x, y, z, t=0.0):
-    """(S, velocity, Q, V) closed forms in one call."""
-    r = np.sqrt(
-        np.asarray(x, dtype=float) ** 2
-        + np.asarray(y, dtype=float) ** 2
-        + np.asarray(z, dtype=float) ** 2
-    )
-    with np.errstate(divide="ignore"):
-        v = -1.0 / r
-    return (
-        hydrogen_s_closed(p, x, y, t),
-        hydrogen_velocity_closed(p, x, y, z),
-        hydrogen_qpot_closed(p, x, y, z),
-        v,
-    )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qctrans as qt
 
@@ -169,6 +171,74 @@ def test_completed_run_covers_grid():
     assert np.array_equal(tr.t, tg)
     assert tr.x.shape == (11, 2)
     assert tr.stop_t is None and tr.stop_x is None
+
+
+_GUARD_T = np.array([0.0, 0.5, 1.0])
+_GUARD_CFG = qt.IntegratorConfig(max_steps=300)
+
+
+def _run_from(kind, x, mode):
+    system = qt.make_system(kind)
+    if mode == "guidance":
+        return qt.integrate_guidance(system, x, _GUARD_T, integrator=_GUARD_CFG)
+    return qt.integrate_transition(system, qt.Constant(1.0), (x, np.zeros(len(x))),
+                                   _GUARD_T, integrator=_GUARD_CFG)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _polar(p):
+    """(radius, angle, *z) -> Cartesian start point."""
+    return [p[0] * math.cos(p[1]), p[0] * math.sin(p[1]), *p[2:]]
+
+
+# start points where |psi|^2 < min_rho = 1e-12: the double slit's far
+# tails, the oscillator's central node, the hydrogen (2,1,1) z axis
+_INSIDE_GUARD = st.one_of(
+    st.tuples(st.just("double_slit"),
+              st.tuples(st.sampled_from([-1.0, 1.0]), _floats(12.0, 13.75))
+              .map(lambda p: [p[0] * p[1]])),
+    st.tuples(st.just("oscillator_2d"),
+              st.lists(_floats(-1e-7, 1e-7), min_size=2, max_size=2)),
+    st.tuples(st.just("hydrogen"),
+              st.tuples(_floats(-7e-7, 7e-7), _floats(-7e-7, 7e-7), _floats(-20.0, 20.0))
+              .map(list)),
+)
+
+# just outside the guard, where the guided flow circles the node fastest
+_NEAR_GUARD = st.one_of(
+    st.tuples(st.just("oscillator_2d"),
+              st.tuples(_floats(1e-5, 1e-3), _floats(0.0, 2 * math.pi)).map(_polar)),
+    st.tuples(st.just("hydrogen"),
+              st.tuples(_floats(1e-4, 1e-2), _floats(0.0, 2 * math.pi), _floats(-20.0, 20.0))
+              .map(_polar)),
+)
+_MODES = st.sampled_from(["guidance", "transition"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=_INSIDE_GUARD, mode=_MODES)
+# r^3 underflows to 0 here: the Coulomb force must stop, not divide by it
+@example(start=("hydrogen", [0.0, 0.0, 7e-133]), mode="transition")
+def test_start_inside_node_guard_stops_at_once(start, mode):
+    kind, x = start
+    tr = _run_from(kind, x, mode)
+    assert tr.status == "singular_stop"
+    assert tr.stop_t == _GUARD_T[0]
+    assert np.all(np.isfinite(tr.stop_x))
+    assert np.array_equal(tr.stop_x, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=_NEAR_GUARD, mode=_MODES)
+def test_start_near_node_guard_leaves_no_nan(start, mode):
+    kind, x = start
+    tr = _run_from(kind, x, mode)
+    assert tr.status in ("completed", "singular_stop", "step_limit")
+    for rows in (tr.t, tr.x, tr.v):
+        assert not np.isnan(rows).any()
 
 
 # --- integrator quality -------------------------------------------------------

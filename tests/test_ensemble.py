@@ -1,5 +1,6 @@
 """Ensemble runs: KS metric, worker pool, monitors, truncation reporting."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +52,28 @@ def test_ks_distance_point_mass():
 def test_ks_distance_rejects_empty():
     with pytest.raises(qt.InvalidParameterError):
         qt.ks_distance([], lambda x: x)
+
+
+def test_stationary_ks_references_are_built_once(monkeypatch):
+    # the oscillator and hydrogen |psi|^2 do not move, so one CDF per axis
+    # serves every KS time; the double slit needs one per time
+    built = []
+
+    class CountedCDF:
+        def __init__(self, fn, lo, hi, n_cells):
+            built.append((lo, hi))
+
+        def cdf(self, x):
+            return np.full(np.shape(x), 0.5)
+
+    monkeypatch.setattr("qctrans.ensemble.GridCDF", CountedCDF)
+    t_grid = np.linspace(0.0, 1.0, 5)
+    for system, n_built in ((qt.oscillator_2d(), 1), (qt.hydrogen(), 2), (qt.double_slit(), 3)):
+        built.clear()
+        done = [SimpleNamespace(status="completed", x=np.ones((5, system.dim)))]
+        ks = qt.distribution_metrics(system, done, t_grid)["ks"]
+        assert len(built) == n_built
+        assert all(len(vals) == 3 for vals in ks.values())
 
 
 # --- worker pool ------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k1
 
 import qctrans as qt
 from qctrans.sampling import (
@@ -45,6 +46,79 @@ def test_gridcdf_rejects_bad_levels():
     for lv in (0.0, 1.0, -0.1):
         with pytest.raises(qt.InvalidParameterError):
             g.ppf(lv)
+
+
+def _counted_normal():
+    calls = []
+
+    def fn(x):
+        calls.append(np.size(x))
+        return np.exp(-0.5 * x**2)
+
+    return fn, calls
+
+
+def test_gridcdf_evaluates_each_abscissa_once():
+    # refinement turns the old midpoints into nodes, so an N-cell table
+    # costs its N + 1 nodes and N midpoints and nothing more
+    fn, calls = _counted_normal()
+    g = GridCDF(fn, -10.0, 10.0, n_cells=64)
+    n = len(g.nodes) - 1
+    assert n > 64
+    assert sum(calls) == 2 * n + 1
+
+
+def test_gridcdf_answers_from_its_table():
+    fn, calls = _counted_normal()
+    g = GridCDF(fn, -10.0, 10.0)
+    calls.clear()
+    g.cdf(np.linspace(-11.0, 11.0, 101))
+    g.ppf([0.1, 0.5, 0.9])
+    g.mean()
+    g.var()
+    assert calls == []
+    # the partial-cell parabola integrates to the whole Simpson cell
+    x = g.nodes[1:-1]
+    assert np.abs(g.cdf(np.nextafter(x, -np.inf)) - g.cdf(x)).max() < 1e-14
+
+
+# --- marginals ----------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, axis", [
+    ("double_slit", "s"),
+    ("oscillator_2d", "z"),
+    ("hydrogen", "x"),
+    ("hydrogen", "radius"),
+])
+def test_marginal_rejects_axis_the_system_lacks(kind, axis):
+    with pytest.raises(qt.InvalidParameterError):
+        marginal_density_1d(qt.make_system(kind), axis=axis)
+
+
+def test_oscillator_radial_cdf_matches_closed_form():
+    # F(r) = 1 - (1 + w r^2) e^(-w r^2) for every alpha and k0
+    osc = qt.oscillator_2d(k0=2.0, alpha=0.3)
+    fn, lo, hi = marginal_density_1d(osc)
+    w = osc.params.omega
+    r = np.linspace(lo, hi, 401)
+    exact = 1.0 - (1.0 + w * r * r) * np.exp(-w * r * r)
+    assert np.abs(GridCDF(fn, lo, hi).cdf(r) - exact).max() <= 1e-12
+
+
+def test_hydrogen_211_marginals_match_closed_forms():
+    # the quadrature integrates over the cylinder s, |z| <= 20 with inner
+    # trapezoids; the exact marginals integrate over all space
+    hyd = qt.hydrogen()
+    fs, lo, hi = marginal_density_1d(hyd, axis="s")
+    s = np.linspace(1e-3, hi, 401)
+    assert np.abs(fs(s) - s**4 * k1(s) / 16.0).max() <= 1e-7
+    fz, lo, hi = marginal_density_1d(hyd, axis="z")
+    z = np.linspace(lo, hi, 401)
+    a = np.abs(z)
+    assert np.abs(fz(z) - np.exp(-a) * (a * a + 3.0 * a + 3.0) / 16.0).max() <= 2e-6
+    tail = np.exp(-a) * (a * a + 5.0 * a + 8.0) / 16.0
+    exact = np.where(z >= 0, 1.0 - tail, tail)
+    assert np.abs(GridCDF(fz, lo, hi, n_cells=1024).cdf(z) - exact).max() <= 5e-6
 
 
 # --- quantile sampler ---------------------------------------------------------
