@@ -5,8 +5,9 @@ potential of an analytic wave function and P(t) walks from 1 (pure guidance,
 trajectories ride grad S) to 0 (pure Newtonian motion).  Three systems ship:
 a 1D two-packet superposition, a planar harmonic oscillator eigenstate pair,
 and a hydrogen-like eigenstate.  Hot kernels are compiled with numba when
-available; set QCTRANS_NO_NUMBA=1 to force the pure-Python path and
-QCTRANS_THREADS to cap ensemble workers.
+available; set QCTRANS_NO_NUMBA=1 to force the pure-Python path.  With
+numba, ensembles integrate on a thread pool that QCTRANS_THREADS caps;
+without it they run serially.
 """
 
 from ._jit import NUMBA_ENABLED

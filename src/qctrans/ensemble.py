@@ -1,10 +1,11 @@
 """Ensemble runs: parallel integration, conservation monitors, KS checks.
 
 Initial conditions are drawn once, up front, from a single seeded stream;
-trajectories then integrate independently on a thread pool (the compiled
-kernels release the GIL) and results are stored by index.  Output is
-therefore bitwise identical no matter how many workers run, and the worker
-count is capped by the ``QCTRANS_THREADS`` environment variable.
+trajectories then integrate independently and results are stored by index.
+With numba the compiled kernels release the GIL, so they run on a thread
+pool whose size the ``QCTRANS_THREADS`` environment variable caps; without
+numba every kernel holds the GIL and they run serially.  Output is bitwise
+identical no matter how many workers run.
 
 Per-trajectory monitors track the quantities each system is supposed to
 conserve (or visibly fail to conserve, which in transition runs is the
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .dynamics import Trajectory, integrate_guidance, integrate_transition
 from .errors import ConfigurationError, InvalidParameterError
@@ -32,7 +34,12 @@ from .systems import WaveField
 
 
 def worker_count(n_tasks: int) -> int:
-    """min(tasks, cpus, QCTRANS_THREADS); the env var caps the pool."""
+    """min(tasks, cpus, QCTRANS_THREADS) with numba, else 1.
+
+    The env var caps the pool and is validated either way.  Without numba
+    the kernels hold the GIL, so threads could never overlap and would only
+    add hand-off cost.
+    """
     cpu = os.cpu_count() or 1
     cap = cpu
     raw = os.environ.get("QCTRANS_THREADS")
@@ -47,6 +54,8 @@ def worker_count(n_tasks: int) -> int:
             raise ConfigurationError(
                 f"QCTRANS_THREADS must be >= 1, got {cap}", path="QCTRANS_THREADS"
             )
+    if not NUMBA_ENABLED:
+        return 1
     return max(1, min(n_tasks, cpu, cap))
 
 

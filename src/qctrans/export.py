@@ -13,7 +13,10 @@ centred on zero, otherwise the sequential ramp #440154 #3b528b #21918c
 #5ec962 #fde725.  Values are clipped to the 2nd-98th percentile of the
 finite cells (singular blowups would otherwise own the whole scale) and the
 clip range is printed in the annotation line.  Masked cells (node guard or
-density underflow) render light gray.
+density underflow) render light gray.  Every cell's color comes from one
+array pass over the grid, with each distinct color, column and row
+coordinate formatted once; heatmaps and field CSVs are written to the file
+one grid row at a time.
 """
 
 import json
@@ -25,7 +28,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .ensemble import EnsembleResult, trajectory_monitors
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidParameterError
 from .fields import StencilConfig, _qpot
 from .systems import (
     WaveField,
@@ -217,16 +220,34 @@ def _plane_labels(system, cfg):
     return tuple({"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane])
 
 
+def _check_grid(grid: FieldGrid) -> None:
+    # the writers stream one grid row at a time; a mismatched grid must fail
+    # before the file is opened, not leave a truncated file
+    if grid.values.shape != (grid.ys.size, grid.xs.size):
+        raise InvalidParameterError(
+            f"field values have shape {grid.values.shape}, "
+            f"axes need ({grid.ys.size}, {grid.xs.size})"
+        )
+
+
 def write_field_csv(grid: FieldGrid, path: str, annotation: str = "") -> None:
-    lines = []
+    """One ``x,y,value`` row per cell, rows of the grid in turn.
+
+    Each coordinate is formatted once; only the value column is formatted
+    per cell.  The file is written one grid row at a time.
+    """
+    _check_grid(grid)
+    head = []
     if annotation:
         note = f" | {grid.note}" if grid.note else ""
-        lines.append(f"# {annotation}{note}")
-    lines.append(f"{grid.xlabel},{grid.ylabel},{grid.quantity}")
-    for j, yv in enumerate(grid.ys):
-        for i, xv in enumerate(grid.xs):
-            lines.append(f"{_g(xv)},{_g(yv)},{_g(grid.values[j, i])}")
-    _write_text(path, "\n".join(lines) + "\n")
+        head.append(f"# {annotation}{note}\n")
+    head.append(f"{grid.xlabel},{grid.ylabel},{grid.quantity}\n")
+    xcols = [_g(x) for x in grid.xs.tolist()]
+    ycols = ["," + _g(y) + "," for y in grid.ys.tolist()]
+    with _open_for_write(path) as fh:
+        fh.write("".join(head))
+        for yc, row in zip(ycols, grid.values.tolist()):
+            fh.write("".join([xc + yc + _g(v) + "\n" for xc, v in zip(xcols, row)]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +282,6 @@ def _nice_ticks(lo, hi, target=6):
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
         v += step
     return ticks
-
-
-def _hex_to_rgb(h):
-    return tuple(int(h[i : i + 2], 16) for i in (1, 3, 5))
-
-
-def _ramp(stops, u):
-    u = min(max(u, 0.0), 1.0) * (len(stops) - 1)
-    i = min(int(u), len(stops) - 2)
-    f = u - i
-    a = _hex_to_rgb(stops[i])
-    b = _hex_to_rgb(stops[i + 1])
-    return "#%02x%02x%02x" % tuple(round(a[k] + f * (b[k] - a[k])) for k in range(3))
 
 
 class _Canvas:
@@ -330,14 +338,6 @@ class _Canvas:
             f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="{r}" fill="{color}"/>'
         )
 
-    def rect_cell(self, x, y, w, h, color):
-        px = self.px(x)
-        py = self.py(y + h)
-        self.parts.append(
-            f'<rect x="{px:.2f}" y="{py:.2f}" width="{w / (self.x1 - self.x0) * _PW + 0.5:.2f}" '
-            f'height="{h / (self.y1 - self.y0) * _PH + 0.5:.2f}" fill="{color}"/>'
-        )
-
     def render(self):
         return "\n".join(self.parts) + "\n</svg>\n"
 
@@ -385,7 +385,31 @@ def _padded(lo, hi):
     return (lo - pad, hi + pad)
 
 
+def _ramp_colors(stops, vals, vmin, vmax):
+    """Fill color of every cell of ``vals``, in one array pass.
+
+    Each finite value maps to u = (v - vmin) / (vmax - vmin), clipped to
+    [0, 1] and interpolated linearly between the stops; a channel is rounded
+    half to even.  Returns an object array of color strings, each distinct
+    color formatted once; non-finite cells get the mask color.
+    """
+    rgb = np.array([list(bytes.fromhex(s[1:])) for s in stops], dtype=np.int64)
+    ok = np.isfinite(vals)
+    u = np.clip((vals[ok] - vmin) / (vmax - vmin), 0.0, 1.0) * (len(stops) - 1)
+    i = np.minimum(u.astype(np.int64), len(stops) - 2)
+    f = (u - i)[:, None]
+    chan = np.rint(rgb[i] + f * (rgb[i + 1] - rgb[i])).astype(np.int64)
+    code = np.full(vals.shape, -1, dtype=np.int64)
+    code[ok] = (chan[:, 0] << 16) | (chan[:, 1] << 8) | chan[:, 2]
+    distinct, which = np.unique(code, return_inverse=True)
+    names = np.array([_MASK_COLOR if c < 0 else "#%06x" % c for c in distinct.tolist()],
+                     dtype=object)
+    return names[which.reshape(vals.shape)]
+
+
 def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
+    """Heatmap of a field grid: one rect per cell, written row by row."""
+    _check_grid(grid)
     vals = grid.values
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
@@ -411,15 +435,19 @@ def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
         (grid.ys[0] - 0.5 * dy, grid.ys[-1] + 0.5 * dy),
         grid.xlabel, grid.ylabel, full_title,
     )
-    for j, yv in enumerate(grid.ys):
-        for i, xv in enumerate(grid.xs):
-            v = vals[j, i]
-            if not math.isfinite(v):
-                color = _MASK_COLOR
-            else:
-                color = _ramp(stops, (v - vmin) / (vmax - vmin))
-            cv.rect_cell(xv - 0.5 * dx, yv - 0.5 * dy, dx, dy, color)
-    _write_text(path, cv.render())
+    # a cell's rect spans [x - dx/2, x + dx/2] x [y - dy/2, y + dy/2]; its
+    # top-left corner in pixels is px(x - dx/2), py(y - dy/2 + dy), summed
+    # in that order because y + dy/2 can round differently
+    size = (f'" width="{dx / (cv.x1 - cv.x0) * _PW + 0.5:.2f}" '
+            f'height="{dy / (cv.y1 - cv.y0) * _PH + 0.5:.2f}" fill="')
+    heads = [f'\n<rect x="{px:.2f}" y="' for px in cv.px(grid.xs - 0.5 * dx).tolist()]
+    mids = [f"{py:.2f}" + size for py in cv.py(grid.ys - 0.5 * dy + dy).tolist()]
+    colors = _ramp_colors(stops, vals, vmin, vmax)
+    with _open_for_write(path) as fh:
+        fh.write("\n".join(cv.parts))
+        for mid, row in zip(mids, colors.tolist()):
+            fh.write("".join([h + mid + c + '"/>' for h, c in zip(heads, row)]))
+        fh.write("\n</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +483,14 @@ def export_result(result: EnsembleResult, directory=None, formats=None) -> list:
     return paths
 
 
-def _write_text(path, text) -> None:
+def _open_for_write(path):
+    """Open ``path`` for writing text, creating missing parent directories."""
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_text(path, text) -> None:
+    with _open_for_write(path) as fh:
         fh.write(text)

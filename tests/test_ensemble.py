@@ -81,6 +81,7 @@ def test_stationary_ks_references_are_built_once(monkeypatch):
 def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setattr("qctrans.ensemble.os.cpu_count", lambda: 8)
     monkeypatch.delenv("QCTRANS_THREADS", raising=False)
+    monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", True)
     assert worker_count(4) == 4
     assert worker_count(100) == 8
     monkeypatch.setenv("QCTRANS_THREADS", "3")
@@ -88,6 +89,9 @@ def test_worker_count_env_cap(monkeypatch):
     assert worker_count(2) == 2
     monkeypatch.setenv("QCTRANS_THREADS", "")
     assert worker_count(100) == 8
+    # without numba the kernels hold the GIL: ensembles run serially
+    monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", False)
+    assert worker_count(100) == 1
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
@@ -98,9 +102,13 @@ def test_worker_count_invalid_env(monkeypatch, raw):
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
+    monkeypatch.setenv("QCTRANS_THREADS", "1")
     serial = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
+    # a real 4-thread pool, with or without numba
+    monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", True)
     monkeypatch.setattr("qctrans.ensemble.os.cpu_count", lambda: 4)
     monkeypatch.setenv("QCTRANS_THREADS", "4")
+    assert worker_count(serial.n) == 4
     pooled = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
     assert np.array_equal(serial.positions0, pooled.positions0)
     for a, b in zip(serial.trajectories, pooled.trajectories):
