@@ -9,6 +9,33 @@ cubic Hermite sampling at the requested output times.  Stage times, including
 inside P(t), use the sub-step time t + c_i dt.  On a guarded stage failure
 the adaptive integrator halves the step up to 40 times before declaring
 ``singular_stop``.
+
+Two engines run that method:
+
+* the scalar kernel ``kernels.integrate`` takes one trajectory.  It serves
+  ``integrate_guidance`` and ``integrate_transition``, finishes the last
+  trajectories of an ensemble, and is the oracle the ensemble engine is
+  tested against;
+* the ensemble engine ``_run_batch`` steps a whole ensemble as arrays, one
+  row per trajectory with its own t, dt, output index, step count and
+  halving count, through accept/reject/halve masks.  Finished rows leave
+  the active arrays.  Once at most ``_HANDOFF`` rows are active, each is
+  handed to the scalar kernel at its last accepted state with its dt, its
+  remaining step budget and the whole run's ``dt_min``: a few trajectories
+  that circle a node for thousands of steps would otherwise pay numpy's
+  per-call cost on every one of them.
+
+The arithmetic contract of the ensemble engine: it repeats the kernel's step
+control check for check and its arithmetic operation for operation,
+element-wise.  Stage sums and the error norm run in the kernel's order (a
+matmul or an axis sum rounds differently), and the step factor
+errn ** -0.2 is Python's float pow per element (numpy's SIMD pow differs
+from libm in the last bit).  The closed-form fields of the oscillator and
+hydrogen are transcribed the same way in :mod:`qctrans.fields`, and P(t) is
+the kernel's own ``coupling_p`` per trajectory, so on those routes every
+trajectory of an ensemble is bitwise identical to a scalar run of it, in
+any ensemble order or subset.  The double slit's stencil routes use the
+array stencil, which rounds differently from the scalar one.
 """
 
 import math
@@ -16,11 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import fields, kernels
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .errors import InvalidParameterError
 from .fields import DEFAULT_STENCIL, StencilConfig
+from .kernels import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
+    _A65, _A71, _A73, _A74, _A75, _A76, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
+    _MAX_HALVINGS,
+)
 from .systems import WaveField
 
 STATUS_NAMES = {
@@ -96,6 +128,28 @@ def _check_grid(t_grid):
     return t
 
 
+def _dt_min(t_first, t_last):
+    """The smallest step of a run over [t_first, t_last]."""
+    return 1e-14 * max(1.0, abs(t_last - t_first))
+
+
+def _kernel(mode, system, coupling, x0, v0, t, cfg, st, use_closed, dt0, dt_min, max_steps):
+    """One trajectory through ``kernels.integrate`` from (x0, v0) over the grid
+    t; returns the kernel's result tuple and its (xs, vs) sample rows."""
+    c0, c1 = coupling._packed()
+    xs = np.zeros((len(t), 3))
+    vs = np.zeros((len(t), 3))
+    result = kernels.integrate(
+        mode, system.sys_id, _scalars(system._par), system.dim, coupling._kind, c0, c1,
+        _scalars(_pad3(x0)), _scalars(_pad3(v0)), _scalars(t),
+        _METHODS[cfg.method], float(dt0), float(dt_min), float(cfg.rtol), float(cfg.atol),
+        int(max_steps), st.h, st.richardson, st.min_rho,
+        use_closed and system.has_closed_velocity, use_closed and system.has_closed_qpot,
+        xs, vs,
+    )
+    return result, xs, vs
+
+
 def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
          use_closed) -> Trajectory:
     t = _check_grid(t_grid)
@@ -109,17 +163,9 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
     v0 = np.zeros(dim) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     if v0.size != dim:
         raise InvalidParameterError(f"v0 must have {dim} components, got {v0.size}")
-    c0, c1 = coupling._packed()
-    xs = np.zeros((t.size, 3))
-    vs = np.zeros((t.size, 3))
-    use_cv = use_closed and system.has_closed_velocity
-    use_cq = use_closed and system.has_closed_qpot
-    status, n_filled, n_steps, stop_t, sx, sy, sz = kernels.integrate(
-        mode, system.sys_id, _scalars(system._par), dim, coupling._kind, c0, c1,
-        _scalars(_pad3(x0)), _scalars(_pad3(v0)), _scalars(t),
-        _METHODS[cfg.method], float(cfg.dt), float(cfg.rtol), float(cfg.atol),
-        int(cfg.max_steps), st.h, st.richardson, st.min_rho,
-        use_cv, use_cq, xs, vs,
+    (status, n_filled, n_steps, stop_t, sx, sy, sz), xs, vs = _kernel(
+        mode, system, coupling, x0, v0, t, cfg, st, use_closed,
+        cfg.dt, _dt_min(float(t[0]), float(t[-1])), cfg.max_steps,
     )
     name = STATUS_NAMES[status]
     traj = Trajectory(
@@ -133,6 +179,274 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
         traj.stop_t = float(stop_t)
         traj.stop_x = np.array([sx, sy, sz])[:dim]
     return traj
+
+
+# ---------------------------------------------------------------------------
+# ensemble engine
+# ---------------------------------------------------------------------------
+
+# active trajectories at which an ensemble goes over to the scalar kernel.
+# Step counts are heavy-tailed (oscillator guidance: median 218, maximum
+# 4696); a model of the measured counts has a flat optimum at 6-10
+_HANDOFF = 8
+
+
+def _batch_rhs(mode, system, coupling, st):
+    """rhs(y, t) -> (dy, ok) over an (m, nvar) stack of states with a time
+    for each; ``ok`` is False where the kernel's ``rhs`` returns status 1."""
+    dim = system.dim
+    closed = system.has_closed_velocity
+    if mode == kernels.GUIDANCE:
+        if not closed:
+            return lambda y, t: fields._grad_s(system, y, t, st)
+
+        def guidance(y, t):
+            u, ok = fields._closed_velocity(system, y)
+            return u, ok & fields._dense_enough(system, y, t, st)
+
+        return guidance
+
+    kind = coupling._kind
+    c0, c1 = coupling._packed()
+
+    def transition(y, t):
+        x = y[:, :dim]
+        gv, ok = fields._grad_potential(system, x)
+        acc = -gv
+        if kind == kernels.CONSTANT:
+            p = np.full(t.size, c0)
+        else:
+            p = np.array([kernels.coupling_p(kind, c0, c1, s) for s in t.tolist()])
+        q = np.flatnonzero(p > kernels._P_FLOOR)
+        if q.size:
+            if q.size == t.size:
+                q = slice(None)
+            xq = x[q]
+            if closed:
+                gq, ok_q = fields._closed_grad_qpot(system, xq)
+            else:
+                gq, ok_q = fields._grad_qpot(system, xq, t[q], st)
+            acc[q] = -gv[q] - p[q, None] * gq
+            ok[q] &= ok_q & fields._dense_enough(system, xq, t[q], st)
+        return np.concatenate([y[:, dim:], acc], axis=1), ok
+
+    return transition
+
+
+def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
+               stencil) -> list:
+    """Integrate an ensemble of starts x0 (and v0 in transition mode), each
+    of shape (n, dim), over t_grid; one Trajectory per start, as ``_run``
+    would return it."""
+    t = _check_grid(t_grid)
+    system._check_t(t)
+    cfg = integrator or IntegratorConfig()
+    st = stencil or DEFAULT_STENCIL
+    rhs = _batch_rhs(mode, system, coupling, st)
+    guidance = mode == kernels.GUIDANCE
+    adaptive = cfg.method == "rk45_adaptive"
+    x0 = np.asarray(x0, dtype=float)
+    n, dim = x0.shape
+    nt = t.size
+    t_list = t.tolist()
+    t_end = t_list[-1]
+    t_out = np.append(t, np.inf)  # an output index past the grid emits nothing
+    dt_min = _dt_min(t_list[0], t_end)
+    rtol, atol = float(cfg.rtol), float(cfg.atol)
+
+    xs = np.zeros((n, nt, dim))
+    vs = np.zeros((n, nt, dim))
+    status = np.full(n, kernels.COMPLETED)
+    filled = np.full(n, nt)
+    steps = np.zeros(n, dtype=int)
+    stop_t = np.zeros(n)
+    stop_x = np.zeros((n, dim))
+
+    y = x0.copy() if guidance else np.concatenate([x0, np.asarray(v0, dtype=float)], axis=1)
+    tt = np.full(n, t_list[0])
+    with np.errstate(all="ignore"):
+        f0, ok = rhs(y, tt)
+    xs[:, 0] = x0
+    vs[:, 0] = np.where(ok[:, None], f0, 0.0) if guidance else y[:, dim:]
+    status[~ok] = kernels.SINGULAR_STOP
+    filled[~ok] = 1
+    stop_t[~ok] = t_list[0]
+    stop_x[~ok] = x0[~ok]
+    dt0 = float(cfg.dt)
+    if dt0 > t_end - t_list[0]:
+        dt0 = t_end - t_list[0]
+
+    # the active rows; idx maps a row to its trajectory
+    idx = np.flatnonzero(ok)
+    y, f0, tt = y[idx], f0[idx], tt[idx]
+    dt = np.full(idx.size, dt0)
+    gi = np.ones(idx.size, dtype=int)
+    ns = np.zeros(idx.size, dtype=int)
+    hv = np.zeros(idx.size, dtype=int)
+
+    def finish(rows, code):
+        i = idx[rows]
+        status[i] = code
+        filled[i] = gi[rows]
+        steps[i] = ns[rows]
+        stop_t[i] = tt[rows]
+        stop_x[i] = y[rows, :dim]
+
+    def hand_off(r):
+        i, g = idx[r], gi[r]
+        sub = np.array([tt[r], *t_list[g:]])
+        v = np.zeros(dim) if guidance else y[r, dim:]
+        (code, nf, n_more, s_t, *s_x), kx, kv = _kernel(
+            mode, system, coupling, y[r, :dim], v, sub, cfg, st, True,
+            dt[r], dt_min, cfg.max_steps - ns[r],
+        )
+        xs[i, g : g + nf - 1] = kx[1:nf, :dim]
+        vs[i, g : g + nf - 1] = kv[1:nf, :dim]
+        status[i] = code
+        filled[i] = g + nf - 1
+        steps[i] = ns[r] + n_more
+        stop_t[i] = s_t
+        stop_x[i] = s_x[:dim]
+
+    with np.errstate(all="ignore"):
+        while idx.size:
+            keep = np.ones(idx.size, dtype=bool)
+            if idx.size <= _HANDOFF:
+                # the scalar kernel restarts its halving count, so a row
+                # goes over only when it has none
+                for r in np.flatnonzero(hv == 0):
+                    hand_off(r)
+                    keep[r] = False
+            limit = keep & ((ns >= cfg.max_steps) | (dt < dt_min))
+            if limit.any():
+                finish(limit, kernels.STEP_LIMIT)
+                keep &= ~limit
+            if not keep.all():
+                idx, y, f0, tt, dt, gi, ns, hv = (
+                    arr[keep] for arr in (idx, y, f0, tt, dt, gi, ns, hv))
+                if not idx.size:
+                    break
+            ns += 1
+            d = dt[:, None]
+            if adaptive:
+                k2, ok = rhs(y + d * _A21 * f0, tt + _C2 * dt)
+                k3, ok_k = rhs(y + d * (_A31 * f0 + _A32 * k2), tt + _C3 * dt)
+                ok &= ok_k
+                k4, ok_k = rhs(y + d * (_A41 * f0 + _A42 * k2 + _A43 * k3), tt + _C4 * dt)
+                ok &= ok_k
+                k5, ok_k = rhs(y + d * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+                               tt + _C5 * dt)
+                ok &= ok_k
+                k6, ok_k = rhs(y + d * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                        + _A65 * k5), tt + dt)
+                ok &= ok_k
+                yn = y + d * (_A71 * f0 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+                k7, ok_k = rhs(yn, tt + dt)
+                ok &= ok_k
+                fail = ~ok
+                stop = np.zeros(idx.size, dtype=bool)
+                if fail.any():
+                    hv[fail] += 1
+                    stop = fail & ((hv > _MAX_HALVINGS) | (0.5 * dt < dt_min))
+                    dt[fail & ~stop] *= 0.5
+                # embedded error estimate, summed over components in order
+                e = d * (_E1 * f0 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+                sc = atol + rtol * np.maximum(np.abs(y), np.abs(yn))
+                q = (e / sc) * (e / sc)
+                errn = np.zeros(idx.size)
+                for i in range(q.shape[1]):
+                    errn += q[:, i]
+                errn = np.sqrt(errn / q.shape[1])
+                reject = ok & (errn > 1.0)
+                if reject.any():
+                    dt[reject] *= np.maximum(_factors(errn[reject]), 0.2)
+                accept = ok & ~reject
+            else:
+                k2, ok = rhs(y + 0.5 * d * f0, tt + 0.5 * dt)
+                k3, ok_k = rhs(y + 0.5 * d * k2, tt + 0.5 * dt)
+                ok &= ok_k
+                k4, ok_k = rhs(y + d * k3, tt + dt)
+                ok &= ok_k
+                yn = y + d / 6.0 * (f0 + 2.0 * k2 + 2.0 * k3 + k4)
+                k7, ok_k = rhs(yn, tt + dt)
+                ok &= ok_k
+                stop = ~ok
+                accept = ok
+            if stop.any():
+                finish(stop, kernels.SINGULAR_STOP)
+                keep = ~stop
+            else:
+                keep = np.ones(idx.size, dtype=bool)
+
+            a = np.flatnonzero(accept)
+            if a.size:
+                # fill all grid times in (t, t + dt]
+                t_new = tt[a] + dt[a]
+                reach = t_new + 1e-12 * np.maximum(1.0, np.abs(t_new))
+                g = gi[a]
+                emit = np.flatnonzero(t_out[g] <= reach)
+                while emit.size:
+                    r = a[emit]
+                    k = g[emit]
+                    h = dt[r]
+                    s = (t_out[k] - tt[r]) / h
+                    s2 = s * s
+                    s3 = s2 * s
+                    h00 = (2.0 * s3 - 3.0 * s2 + 1.0)[:, None]
+                    h10 = ((s3 - 2.0 * s2 + s) * h)[:, None]
+                    h01 = (-2.0 * s3 + 3.0 * s2)[:, None]
+                    h11 = ((s3 - s2) * h)[:, None]
+                    herm = h00 * y[r] + h10 * f0[r] + h01 * yn[r] + h11 * k7[r]
+                    xs[idx[r], k] = herm[:, :dim]
+                    if guidance:
+                        d00 = ((6.0 * s2 - 6.0 * s) / h)[:, None]
+                        d10 = (3.0 * s2 - 4.0 * s + 1.0)[:, None]
+                        d01 = ((6.0 * s - 6.0 * s2) / h)[:, None]
+                        d11 = (3.0 * s2 - 2.0 * s)[:, None]
+                        vs[idx[r], k] = d00 * y[r] + d10 * f0[r] + d01 * yn[r] + d11 * k7[r]
+                    else:
+                        vs[idx[r], k] = herm[:, dim:]
+                    g[emit] += 1
+                    emit = emit[t_out[g[emit]] <= reach[emit]]
+                gi[a] = g
+                tt[a] = t_new
+                y[a] = yn[a]
+                f0[a] = k7[a]
+                hv[a] = 0
+                if adaptive:
+                    fac = np.full(a.size, 5.0)
+                    grow = errn[a] > 0.0
+                    fac[grow] = np.clip(_factors(errn[a][grow]), 0.2, 5.0)
+                    dt[a] *= fac
+                dt[a] = np.minimum(dt[a], t_end - tt[a])
+                done = a[(gi[a] >= nt) | (tt[a] >= t_end)]
+                for r in done:
+                    # roundoff left the last grid times unemitted: the final state
+                    i = idx[r]
+                    xs[i, gi[r]:] = y[r, :dim]
+                    vs[i, gi[r]:] = f0[r, :dim] if guidance else y[r, dim:]
+                    steps[i] = ns[r]
+                keep[done] = False
+            if not keep.all():
+                idx, y, f0, tt, dt, gi, ns, hv = (
+                    arr[keep] for arr in (idx, y, f0, tt, dt, gi, ns, hv))
+
+    out = []
+    for i in range(n):
+        nf = filled[i]
+        traj = Trajectory(t=t[:nf].copy(), x=xs[i, :nf].copy(), v=vs[i, :nf].copy(),
+                          status=STATUS_NAMES[status[i]], n_steps=int(steps[i]))
+        if status[i] != kernels.COMPLETED:
+            traj.stop_t = float(stop_t[i])
+            traj.stop_x = stop_x[i].copy()
+        out.append(traj)
+    return out
+
+
+def _factors(errn):
+    """0.9 errn^-0.2 with Python's float pow, element by element, as the
+    kernel computes it; numpy's vectorised pow rounds differently."""
+    return np.array([0.9 * e ** -0.2 for e in errn.tolist()])
 
 
 def _pad3(x):

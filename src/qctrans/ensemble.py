@@ -1,11 +1,14 @@
-"""Ensemble runs: parallel integration, conservation monitors, KS checks.
+"""Ensemble runs: batched integration, conservation monitors, KS checks.
 
 Initial conditions are drawn once, up front, from a single seeded stream;
-trajectories then integrate independently and results are stored by index.
-With numba the compiled kernels release the GIL, so they run on a thread
-pool whose size the ``QCTRANS_THREADS`` environment variable caps; without
-numba every kernel holds the GIL and they run serially.  Output is bitwise
-identical no matter how many workers run.
+each trajectory then integrates independently and results are stored by
+index.  Without numba the whole ensemble integrates as arrays in the
+ensemble engine of :mod:`qctrans.dynamics`, which hands its last few
+trajectories to the scalar kernel; on the closed-form routes (oscillator
+and hydrogen) every trajectory is bitwise identical to a scalar run of it.
+With numba the compiled scalar kernels release the GIL, so they run on a
+thread pool whose size the ``QCTRANS_THREADS`` environment variable caps.
+Output does not depend on the number of workers.
 
 Per-trajectory monitors track the quantities each system is supposed to
 conserve (or visibly fail to conserve, which in transition runs is the
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant
-from .dynamics import Trajectory, integrate_guidance, integrate_transition
+from .dynamics import Trajectory, _run_batch, integrate_guidance, integrate_transition
 from .errors import ConfigurationError, InvalidParameterError
 from .sampling import GridCDF, marginal_density_1d, sample_initial_conditions
 from .systems import WaveField
@@ -207,7 +211,14 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
 
     n = pos.shape[0]
     workers = worker_count(n)
-    if workers > 1:
+    if not NUMBA_ENABLED:
+        guided = mode == "guidance"
+        trajectories = _run_batch(
+            kernels.GUIDANCE if guided else kernels.TRANSITION, system,
+            Constant(1.0) if guided else coupling, pos, vel, t_grid,
+            scenario.integrator, scenario.numerics,
+        )
+    elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trajectories = list(pool.map(run_one, range(n)))
     else:

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidParameterError, NodeProximityError
-from .systems import WaveField
+from .systems import WaveField, hydrogen_rho, oscillator_rho_closed
+
+_TINY = kernels._TINY
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,96 @@ def _grad_qpot(psi, pts, t, st):
     q, ok = _qpot(psi, probes, t, StencilConfig(5.0 * st.h, st.richardson, st.min_rho))
     g = np.stack([(q[2 * ax] - q[2 * ax + 1]) / (2.0 * d) for ax in range(dim)], axis=-1)
     return g, ok.all(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms over a stack of points, in kernel order
+# ---------------------------------------------------------------------------
+#
+# The ensemble stepper of :mod:`qctrans.dynamics` calls these where the
+# scalar kernel calls ``kernels.closed_velocity``, ``closed_grad_qpot`` and
+# ``grad_potential_v``.  Each transcribes its kernel operation for operation,
+# element-wise, with the kernel's guards turned into an ``ok`` mask, so a
+# stack of points gets the bits the kernel gets one point at a time.  x is
+# an (m, dim) stack; the outputs are (m, dim) and (m,).
+
+
+def _dense_enough(system, x, t, st):
+    """The node guard rho >= min_rho of the kernel's ``density``; the
+    stationary states' |psi|^2 in real arithmetic (the guard only compares)."""
+    if system.kind == "oscillator_2d":
+        rho = oscillator_rho_closed(system.params, x[:, 0], x[:, 1])
+    elif system.kind == "hydrogen":
+        rho = hydrogen_rho(system.params, x[:, 0], x[:, 1], x[:, 2])
+    else:
+        rho = system.rho(x, t)
+    return (rho >= st.min_rho) & np.isfinite(rho)
+
+
+def _closed_velocity(system, x):
+    par = system._par.tolist()
+    out = np.zeros_like(x)
+    x0, x1 = x[:, 0], x[:, 1]
+    if system.kind == "oscillator_2d":
+        sa = math.sin(par[1])
+        g = x0 * x0 + 2.0 * math.cos(par[1]) * x0 * x1 + x1 * x1
+        out[:, 0] = -sa * x1 / g
+        out[:, 1] = sa * x0 / g
+        return out, ~(g < _TINY)
+    mq = par[2]
+    if mq == 0.0:
+        return out, np.ones(x.shape[0], dtype=bool)
+    s2 = x0 * x0 + x1 * x1
+    out[:, 0] = -mq * x1 / s2
+    out[:, 1] = mq * x0 / s2
+    return out, ~(s2 < _TINY)
+
+
+def _closed_grad_qpot(system, x):
+    par = system._par.tolist()
+    out = np.empty_like(x)
+    x0, x1 = x[:, 0], x[:, 1]
+    if system.kind == "oscillator_2d":
+        w = par[2]
+        c = math.cos(par[1])
+        r2 = x0 * x0 + x1 * x1
+        g = r2 + 2.0 * c * x0 * x1
+        g2 = g * g
+        g3 = g2 * g
+        n = r2 * (1.0 + c * c) + 4.0 * c * x0 * x1
+        gx = 2.0 * (x0 + c * x1)
+        gy = 2.0 * (x1 + c * x0)
+        nx = 2.0 * x0 * (1.0 + c * c) + 4.0 * c * x1
+        ny = 2.0 * x1 * (1.0 + c * c) + 4.0 * c * x0
+        out[:, 0] = -0.5 * (2.0 * w * w * x0 - 2.0 * gx / g2 - nx / g2 + 2.0 * n * gx / g3)
+        out[:, 1] = -0.5 * (2.0 * w * w * x1 - 2.0 * gy / g2 - ny / g2 + 2.0 * n * gy / g3)
+        return out, ~(g3 < _TINY)
+    mq = par[2]
+    x2 = x[:, 2]
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
+    r3 = r2 * np.sqrt(r2)
+    out[:, 0] = -x0 / r3
+    out[:, 1] = -x1 / r3
+    out[:, 2] = -x2 / r3
+    ok = ~(r3 < _TINY)
+    if mq != 0.0:
+        s2 = x0 * x0 + x1 * x1
+        s4 = s2 * s2
+        out[:, 0] += mq * mq * x0 / s4
+        out[:, 1] += mq * mq * x1 / s4
+        ok &= ~(s4 < _TINY)
+    return out, ok
+
+
+def _grad_potential(system, x):
+    if system.kind == "double_slit":
+        return np.zeros_like(x), np.ones(x.shape[0], dtype=bool)
+    if system.kind == "oscillator_2d":
+        return system._par.tolist()[0] * x, np.ones(x.shape[0], dtype=bool)
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
+    r3 = r2 * np.sqrt(r2)
+    return x / r3[:, None], ~(r3 < _TINY)
 
 
 def _at_point(core, psi, x, t, stencil):

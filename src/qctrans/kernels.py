@@ -132,14 +132,8 @@ def _assoc_legendre(l, m, c):
 
 
 @njit
-def psi_hydrogen(n, l, m, x, y, z, t):
-    """Hydrogen-like eigenstate (atomic units), E_n = -1/(2 n^2)."""
-    en = -0.5 / (n * n)
-    r = math.sqrt(x * x + y * y + z * z)
-    if r < _TINY and l > 0:
-        return 0.0j
-    ma = m if m >= 0 else -m
-    # radial: (2/n^2) sqrt((n-l-1)!/(n+l)!) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho)
+def _hydrogen_radial(n, l, r):
+    """(2/n^2) sqrt((n-l-1)!/(n+l)!) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n."""
     fr = 1.0
     for i in range(n - l, n + l + 1):
         fr *= i
@@ -149,18 +143,36 @@ def psi_hydrogen(n, l, m, x, y, z, t):
         rp *= rho
     rad = (2.0 / (n * n)) / math.sqrt(fr) * rp * math.exp(-0.5 * rho)
     rad *= _genlaguerre(n - l - 1, 2 * l + 1, rho)
-    # angular: N_lm P_l^|m|(cos theta) e^{i m phi}, negative m by conjugation
+    return rad
+
+
+@njit
+def _hydrogen_angular(l, ma, z, r):
+    """N_lm P_l^|m|(cos theta), the real angular factor."""
     fa = 1.0
     for i in range(l - ma + 1, l + ma + 1):
         fa *= i
     nrm = math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) / fa)
     cth = z / r if r > 0.0 else 1.0
-    plm = _assoc_legendre(l, ma, cth)
+    return nrm * _assoc_legendre(l, ma, cth)
+
+
+@njit
+def psi_hydrogen(n, l, m, x, y, z, t):
+    """Hydrogen-like eigenstate (atomic units), E_n = -1/(2 n^2)."""
+    en = -0.5 / (n * n)
+    r = math.sqrt(x * x + y * y + z * z)
+    if r < _TINY and l > 0:
+        return 0.0j
+    ma = m if m >= 0 else -m
+    rad = _hydrogen_radial(n, l, r)
+    # angular: N_lm P_l^|m|(cos theta) e^{i m phi}, negative m by conjugation
+    real = _hydrogen_angular(l, ma, z, r)
     phi = math.atan2(y, x)
     if m >= 0:
-        ang = nrm * plm * cmath.exp(1j * ma * phi)
+        ang = real * cmath.exp(1j * ma * phi)
     else:
-        ang = ((-1.0) ** ma) * nrm * plm * cmath.exp(-1j * ma * phi)
+        ang = ((-1.0) ** ma) * real * cmath.exp(-1j * ma * phi)
     return rad * ang * cmath.exp(-1j * en * t)
 
 
@@ -175,6 +187,22 @@ def psi(sys_id, par, x0, x1, x2, t):
 
 @njit
 def density(sys_id, par, x0, x1, x2, t):
+    """|psi|^2.  The stationary states drop their modulus-1 phase factors:
+    the oscillator is (w/pi) w ((x + cos(a) y)^2 + (sin(a) y)^2) e^{-w r^2},
+    hydrogen the square of its real amplitude R_nl N_lm P_l^|m|."""
+    if sys_id == OSCILLATOR:
+        w = par[2]
+        a = x0 + math.cos(par[1]) * x1
+        b = math.sin(par[1]) * x1
+        return (w / math.pi) * w * (a * a + b * b) * math.exp(-w * (x0 * x0 + x1 * x1))
+    if sys_id == HYDROGEN:
+        n = int(par[0])
+        l = int(par[1])
+        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if r < _TINY and l > 0:
+            return 0.0
+        amp = _hydrogen_radial(n, l, r) * _hydrogen_angular(l, abs(int(par[2])), x2, r)
+        return amp * amp
     w = psi(sys_id, par, x0, x1, x2, t)
     return w.real * w.real + w.imag * w.imag
 
@@ -472,7 +500,7 @@ else:
 
 @njit
 def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
-              method, dt0, rtol, atol, max_steps,
+              method, dt0, dt_min, rtol, atol, max_steps,
               h, rich, min_rho, use_cv, use_cq, xs, vs):
     """Integrate one trajectory, sampling at t_grid via cubic Hermite.
 
@@ -480,8 +508,10 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     velocity rows hold the interpolant derivative, i.e. the guidance field
     along the path.  Returns (status, n_filled, n_steps, stop_t, sx, sy, sz)
     where the stop fields locate the failure for status == SINGULAR_STOP.
-    Without numba, ``par``, ``x0v``, ``v0v`` and ``t_grid`` arrive as lists
-    of Python floats (see ``dynamics._run``).
+    ``dt_min`` is the smallest step, 1e-14 max(1, span) of the whole run
+    (``dynamics._dt_min``), so a run resumed mid-way keeps it.  Without
+    numba, ``par``, ``x0v``, ``v0v`` and ``t_grid`` arrive as lists of
+    Python floats (see ``dynamics._run``).
     """
     nt = len(t_grid)
     nvar = dim if mode == GUIDANCE else 2 * dim
@@ -503,7 +533,6 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
             y[dim + i] = v0v[i]
     t = t_grid[0]
     t_end = t_grid[nt - 1]
-    dt_min = 1e-14 * max(1.0, abs(t_end - t))
 
     st = rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_cv, use_cq, f0, s3a, s3b)
     if st != 0:

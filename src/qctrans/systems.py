@@ -13,10 +13,13 @@ Functions here are numpy-vectorized over positions (trailing axis = dim).
 ``WaveField.psi`` is what every field query evaluates, through the array
 stencil of :mod:`qctrans.fields`, as well as the samplers and field grids;
 the scalar kernels in :mod:`qctrans.kernels` carry their own psi for the
-integrator, so the two routes cross-check each other.  Closed-form
-density/phase/velocity/Q expressions are kept in their published shape on
-purpose, even where a shorter algebraic form exists, so they stay an
-independent route.
+integrator, so the two routes cross-check each other.  ``WaveField.rho``
+of hydrogen squares the real amplitude R_nl N_lm P_l^|m| instead of
+|psi|^2: the phase factors have modulus 1, and real arithmetic is several
+times cheaper for the samplers, the KS tables and the ensemble node guard.
+Closed-form density/phase/velocity/Q expressions are kept in their
+published shape on purpose, even where a shorter algebraic form exists, so
+they stay an independent route.
 """
 
 import inspect
@@ -142,8 +145,16 @@ class WaveField:
         return hydrogen_psi(self.params, xx, yy, zz, t)
 
     def rho(self, x, t):
-        w = self.psi(x, t)
-        return (w * w.conjugate()).real
+        """|psi|^2; for hydrogen the square of its real amplitude."""
+        if self.kind != "hydrogen":
+            w = self.psi(x, t)
+            return (w * w.conjugate()).real
+        t = self._check_t(t)
+        xx, yy, zz = self._split(x)
+        rho = hydrogen_rho(self.params, xx, yy, zz)
+        if t.ndim:
+            rho = np.broadcast_to(rho, np.broadcast_shapes(rho.shape, t.shape)).copy()
+        return rho
 
     def potential(self, x):
         """Classical potential V(x)."""
@@ -327,14 +338,10 @@ def oscillator_closed_fields(p: Oscillator2DParams, x, y, t=0.0):
 # hydrogen
 # ---------------------------------------------------------------------------
 
-def hydrogen_psi(p: HydrogenParams, x, y, z, t):
-    """Eigenstate via Laguerre/Legendre recurrences (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n, l, m = p.n, p.l, p.m
-    ma = abs(m)
+def _hydrogen_real(p: HydrogenParams, x, y, z):
+    """(R_nl(r), N_lm P_l^|m|(cos theta)): the real factors of the eigenstate."""
+    n, l = p.n, p.l
+    ma = abs(p.m)
     r = np.sqrt(x * x + y * y + z * z)
     rho = 2.0 * r / n
     fr = 1.0
@@ -348,12 +355,30 @@ def hydrogen_psi(p: HydrogenParams, x, y, z, t):
     nrm = math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
     with np.errstate(invalid="ignore", divide="ignore"):
         cth = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    plm = _assoc_legendre_np(l, ma, cth)
+    return rad, nrm * _assoc_legendre_np(l, ma, cth)
+
+
+def hydrogen_psi(p: HydrogenParams, x, y, z, t):
+    """Eigenstate via Laguerre/Legendre recurrences (vectorized)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ma = abs(p.m)
+    rad, ang = _hydrogen_real(p, x, y, z)
     phi = np.arctan2(y, x)
-    ang = nrm * plm * np.exp(1j * ma * phi)
-    if m < 0:
+    ang = ang * np.exp(1j * ma * phi)
+    if p.m < 0:
         ang = (-1.0) ** ma * np.conj(ang)
     return rad * ang * np.exp(-1j * p.energy * t)
+
+
+def hydrogen_rho(p: HydrogenParams, x, y, z):
+    """|psi|^2 as the square of the real amplitude R_nl N_lm P_l^|m|: the
+    phase factors e^{i m phi} and e^{-i E t} have modulus 1."""
+    rad, ang = _hydrogen_real(p, x, y, z)
+    a = rad * ang
+    return a * a
 
 
 def _genlaguerre_np(k, a, x):

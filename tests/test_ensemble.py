@@ -102,16 +102,20 @@ def test_worker_count_invalid_env(monkeypatch, raw):
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
+    # without numba the ensemble runs in the batched engine (its scalar
+    # tail on one thread); with the numba flag forced on, the scalar kernels
+    # run on a real 4-thread pool, so this compares the two engines too
     monkeypatch.setenv("QCTRANS_THREADS", "1")
-    serial = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
-    # a real 4-thread pool, with or without numba
+    batched = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
     monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", True)
     monkeypatch.setattr("qctrans.ensemble.os.cpu_count", lambda: 4)
     monkeypatch.setenv("QCTRANS_THREADS", "4")
-    assert worker_count(serial.n) == 4
+    assert worker_count(batched.n) == 4
     pooled = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
-    assert np.array_equal(serial.positions0, pooled.positions0)
-    for a, b in zip(serial.trajectories, pooled.trajectories):
+    assert np.array_equal(batched.positions0, pooled.positions0)
+    for a, b in zip(batched.trajectories, pooled.trajectories):
+        assert a.status == b.status
+        assert a.n_steps == b.n_steps
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.v, b.v)
 

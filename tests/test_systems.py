@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qctrans as qt
+from qctrans import kernels
 from qctrans import systems as qs
 
 RNG = np.random.default_rng(42)
@@ -257,6 +258,52 @@ def test_rho_equals_psi_squared(kind, point):
     p = np.asarray(point)
     for t in (0.0, 0.8):
         assert sys.rho(p, t) == pytest.approx(abs(sys.psi(p, t)) ** 2, rel=1e-13)
+
+
+# points at the edges of the real-amplitude density: r -> 0, the z axis,
+# the oscillator's node, and a generic spread
+_DENSITY_POINTS = np.concatenate([
+    np.random.default_rng(7).normal(size=(200, 3)) * 4.0,
+    np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [0.0, 0.0, 1e-12], [0.0, 0.0, 3.0],
+              [0.0, 0.0, -7.5], [1e-8, -1e-8, 2.0], [1e-150, 0.0, 1e-150], [2.0, 0.0, 0.0]]),
+])
+
+
+def _rel_err(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    scale = np.maximum(np.abs(ref), np.finfo(float).tiny)
+    return np.where(got == ref, 0.0, np.abs(got - ref) / scale)
+
+
+@pytest.mark.parametrize("nlm", [(2, 1, 1), (1, 0, 0), (3, 2, -2), (3, 1, 0), (4, 3, -1),
+                                 (4, 2, 1)])
+def test_hydrogen_real_density_matches_psi_squared(nlm):
+    # the real amplitude R_nl N_lm P_l^|m| squared is |psi|^2: the phase
+    # factors e^{i m phi} e^{-i E t} have modulus 1
+    hyd = qt.hydrogen(*nlm)
+    par = [float(v) for v in nlm]
+    for t in (0.0, 3.7):
+        ref = np.abs(hyd.psi(_DENSITY_POINTS, t)) ** 2
+        assert _rel_err(hyd.rho(_DENSITY_POINTS, t), ref).max() < 1e-14
+        for p, r in zip(_DENSITY_POINTS, ref):
+            w = kernels.psi(kernels.HYDROGEN, par, *p.tolist(), t)
+            assert _rel_err(kernels.density(kernels.HYDROGEN, par, *p.tolist(), t),
+                            abs(w) ** 2) < 1e-14
+            assert _rel_err(kernels.density(kernels.HYDROGEN, par, *p.tolist(), t), r) < 1e-14
+
+
+@pytest.mark.parametrize("k0,alpha", [(1.0, math.pi / 2), (2.3, 0.4), (0.5, -2.0), (1.0, 0.0)])
+def test_oscillator_real_density_matches_psi_squared(k0, alpha):
+    osc = qt.oscillator_2d(k0, alpha)
+    par = [k0, alpha, math.sqrt(k0)]
+    pts = np.concatenate([_DENSITY_POINTS[:, :2], [[1e-9, 0.0], [0.0, 0.0], [-1.0, 1.0]]])
+    for t in (0.0, 1.3):
+        for p in pts.tolist():
+            w = kernels.psi(kernels.OSCILLATOR, par, *p, 0.0, t)
+            assert _rel_err(kernels.density(kernels.OSCILLATOR, par, *p, 0.0, t),
+                            abs(w) ** 2) < 1e-14
+    # at the node both are exactly zero
+    assert kernels.density(kernels.OSCILLATOR, par, 0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_continuity_equation_double_slit():
