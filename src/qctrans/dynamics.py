@@ -31,8 +31,8 @@ element-wise.  Stage sums and the error norm run in the kernel's order (a
 matmul or an axis sum rounds differently), and the step factor
 errn ** -0.2 is Python's float pow per element (numpy's SIMD pow differs
 from libm in the last bit).  The closed-form fields of the oscillator and
-hydrogen are transcribed the same way in :mod:`qctrans.fields`, and P(t) is
-the kernel's own ``coupling_p`` per trajectory, so on those routes every
+hydrogen are the kernel's own functions, called on arrays, and P(t) is the
+kernel's own ``coupling_p`` per trajectory, so on those routes every
 trajectory of an ensemble is bitwise identical to a scalar run of it, in
 any ensemble order or subset.  The double slit's stencil routes use the
 array stencil, which rounds differently from the scalar one.
@@ -53,7 +53,7 @@ from .kernels import (
     _A65, _A71, _A73, _A74, _A75, _A76, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     _MAX_HALVINGS,
 )
-from .systems import WaveField
+from .systems import WaveField, hydrogen_rho, oscillator_rho_closed
 
 STATUS_NAMES = {
     kernels.COMPLETED: "completed",
@@ -141,10 +141,9 @@ def _kernel(mode, system, coupling, x0, v0, t, cfg, st, use_closed, dt0, dt_min,
     vs = np.zeros((len(t), 3))
     result = kernels.integrate(
         mode, system.sys_id, _scalars(system._par), system.dim, coupling._kind, c0, c1,
-        _scalars(_pad3(x0)), _scalars(_pad3(v0)), _scalars(t),
+        _scalars(fields._pad3(x0)), _scalars(fields._pad3(v0)), _scalars(t),
         _METHODS[cfg.method], float(dt0), float(dt_min), float(cfg.rtol), float(cfg.atol),
-        int(max_steps), st.h, st.richardson, st.min_rho,
-        use_closed and system.has_closed_velocity, use_closed and system.has_closed_qpot,
+        int(max_steps), st.h, st.richardson, st.min_rho, use_closed and system.has_closed,
         xs, vs,
     )
     return result, xs, vs
@@ -191,18 +190,44 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
 _HANDOFF = 8
 
 
+def _dense_enough(system, x, t, st):
+    """The node guard rho >= min_rho of the kernel's ``density``; the
+    stationary states' |psi|^2 in real arithmetic (the guard only compares)."""
+    if system.kind == "oscillator_2d":
+        rho = oscillator_rho_closed(system.params, x[:, 0], x[:, 1])
+    elif system.kind == "hydrogen":
+        rho = hydrogen_rho(system.params, x[:, 0], x[:, 1], x[:, 2])
+    else:
+        rho = system.rho(x, t)
+    return (rho >= st.min_rho) & np.isfinite(rho)
+
+
+def _array(form):
+    """A closed form of :mod:`qctrans.kernels` for arrays: its Python source
+    even when numba compiles it for the scalar kernel."""
+    return getattr(form, "py_func", form)
+
+
 def _batch_rhs(mode, system, coupling, st):
     """rhs(y, t) -> (dy, ok) over an (m, nvar) stack of states with a time
-    for each; ``ok`` is False where the kernel's ``rhs`` returns status 1."""
+    for each; ``ok`` is False where the kernel's ``rhs`` returns status 1.
+    The closed forms are the kernel's own, called on columns; their guard
+    flag is negated with np.logical_not, because an m = 0 hydrogen form
+    returns the bool False, and ~False is -1."""
     dim = system.dim
-    closed = system.has_closed_velocity
+    par = system._par.tolist()
+    closed = system.has_closed
+    osc = system.kind == "oscillator_2d"
     if mode == kernels.GUIDANCE:
         if not closed:
             return lambda y, t: fields._grad_s(system, y, t, st)
+        form, arg = ((_array(kernels.oscillator_velocity), par[1]) if osc
+                     else (_array(kernels.hydrogen_velocity), par[2]))
 
         def guidance(y, t):
-            u, ok = fields._closed_velocity(system, y)
-            return u, ok & fields._dense_enough(system, y, t, st)
+            u = np.zeros_like(y)
+            guarded, u[:, 0], u[:, 1] = form(arg, y[:, 0], y[:, 1])
+            return u, np.logical_not(guarded) & _dense_enough(system, y, t, st)
 
         return guidance
 
@@ -211,7 +236,14 @@ def _batch_rhs(mode, system, coupling, st):
 
     def transition(y, t):
         x = y[:, :dim]
-        gv, ok = fields._grad_potential(system, x)
+        if system.kind == "hydrogen":
+            gv = np.empty_like(x)
+            guarded, gv[:, 0], gv[:, 1], gv[:, 2] = _array(kernels.coulomb_grad)(
+                x[:, 0], x[:, 1], x[:, 2], np.sqrt)
+            ok = ~guarded
+        else:
+            gv = par[0] * x if osc else np.zeros_like(x)
+            ok = np.ones(t.size, dtype=bool)
         acc = -gv
         if kind == kernels.CONSTANT:
             p = np.full(t.size, c0)
@@ -222,12 +254,21 @@ def _batch_rhs(mode, system, coupling, st):
             if q.size == t.size:
                 q = slice(None)
             xq = x[q]
-            if closed:
-                gq, ok_q = fields._closed_grad_qpot(system, xq)
-            else:
+            if not closed:
                 gq, ok_q = fields._grad_qpot(system, xq, t[q], st)
+            elif osc:
+                gq = np.empty_like(xq)
+                guarded, gq[:, 0], gq[:, 1] = _array(kernels.oscillator_grad_qpot)(
+                    par[2], par[1], xq[:, 0], xq[:, 1])
+                ok_q = ~guarded
+            else:
+                gq = -gv[q]
+                guarded, m0, m1 = _array(kernels.hydrogen_m2_term)(par[2], xq[:, 0], xq[:, 1])
+                gq[:, 0] += m0
+                gq[:, 1] += m1
+                ok_q = np.logical_not(guarded)
             acc[q] = -gv[q] - p[q, None] * gq
-            ok[q] &= ok_q & fields._dense_enough(system, xq, t[q], st)
+            ok[q] &= ok_q & _dense_enough(system, xq, t[q], st)
         return np.concatenate([y[:, dim:], acc], axis=1), ok
 
     return transition
@@ -447,12 +488,6 @@ def _factors(errn):
     """0.9 errn^-0.2 with Python's float pow, element by element, as the
     kernel computes it; numpy's vectorised pow rounds differently."""
     return np.array([0.9 * e ** -0.2 for e in errn.tolist()])
-
-
-def _pad3(x):
-    out = np.zeros(3)
-    out[: x.size] = x
-    return out
 
 
 def _scalars(a):

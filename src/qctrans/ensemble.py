@@ -75,7 +75,10 @@ def ks_distance(samples, cdf) -> float:
 
 
 def trajectory_monitors(system: WaveField, traj: Trajectory) -> dict:
-    """Time series of the conserved-quantity candidates for one trajectory."""
+    """Time series of the conserved-quantity candidates for one trajectory.
+
+    A hydrogen sample at r = 0 (a start at the nucleus stops there at once)
+    has the energy -inf."""
     x = traj.x
     v = traj.v
     if system.kind == "double_slit":
@@ -89,8 +92,10 @@ def trajectory_monitors(system: WaveField, traj: Trajectory) -> dict:
             "Lz": x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0],
         }
     r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
+    with np.errstate(divide="ignore"):
+        energy = 0.5 * (v**2).sum(axis=1) - 1.0 / r
     return {
-        "energy": 0.5 * (v**2).sum(axis=1) - 1.0 / r,
+        "energy": energy,
         "Lz": x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0],
         "s": np.hypot(x[:, 0], x[:, 1]),
         "z": x[:, 2],
@@ -98,11 +103,16 @@ def trajectory_monitors(system: WaveField, traj: Trajectory) -> dict:
 
 
 def _summarize(series: np.ndarray) -> dict:
-    v0 = float(series[0])
+    """First and last finite sample, and the largest distance of a finite
+    sample from the first; all None when no sample is finite."""
+    finite = series[np.isfinite(series)]
+    if not finite.size:
+        return {"initial": None, "final": None, "max_drift": None}
+    v0 = float(finite[0])
     return {
         "initial": v0,
-        "final": float(series[-1]),
-        "max_drift": float(np.max(np.abs(series - v0))),
+        "final": float(finite[-1]),
+        "max_drift": float(np.max(np.abs(finite - v0))),
     }
 
 
@@ -112,7 +122,7 @@ class TrajectoryDiagnostics:
     status: str
     n_steps: int
     stop_t: float
-    monitors: dict  # name -> {"initial", "final", "max_drift"}
+    monitors: dict  # name -> {"initial", "final", "max_drift"}, None if never finite
 
 
 # marginal axes compared against quadrature CDFs, per system
@@ -130,9 +140,7 @@ _KS_CELLS = {"double_slit": 4096, "oscillator_2d": 4096, "hydrogen": 1024}
 def _axis_samples(system, axis, x):
     if axis == "x":
         return x[:, 0]
-    if axis == "radius":
-        return np.hypot(x[:, 0], x[:, 1])
-    if axis == "s":
+    if axis in ("radius", "s"):
         return np.hypot(x[:, 0], x[:, 1])
     return x[:, 2]
 

@@ -121,7 +121,9 @@ def result_document(result: EnsembleResult) -> dict:
 
 
 def write_result_json(result: EnsembleResult, path: str) -> None:
-    _write_text(path, json.dumps(result_document(result)) + "\n")
+    """Strict JSON: a NaN or an infinity raises instead of writing a token
+    that is not JSON."""
+    _write_text(path, json.dumps(result_document(result), allow_nan=False) + "\n")
 
 
 def load_result(path: str) -> dict:

@@ -3,9 +3,13 @@
 This module holds only what ``integrate`` and ``fields.force`` call; field
 queries go through the array stencil in :mod:`qctrans.fields`.  Everything
 here is compiled with numba (see ``_jit``); the same source runs as plain
-Python when the JIT is disabled.  Systems and coupling schedules are passed
-as integer codes plus flat float64 parameter arrays so a single compiled
-integrator serves every configuration:
+Python when the JIT is disabled.  The closed-form fields of the oscillator
+and hydrogen (guidance velocities, grad Q, the Coulomb grad V) are written
+once, as plain arithmetic: the kernel calls them on floats and the ensemble
+engine of :mod:`qctrans.dynamics` on arrays, with the same bits.  Systems
+and coupling schedules are passed as integer codes plus flat float64
+parameter arrays so a single compiled integrator serves every
+configuration:
 
 * double slit   params = (rho0, u, X)          dim 1
 * oscillator    params = (k0, alpha, omega)    dim 2
@@ -297,151 +301,185 @@ def grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, ou
     return 0
 
 
+# ---------------------------------------------------------------------------
+# closed forms, shared with the ensemble engine
+# ---------------------------------------------------------------------------
+#
+# Each form is plain arithmetic, so the same source takes floats (the
+# kernel below) or numpy arrays (``dynamics._batch_rhs``) and gives the same
+# bits either way.  Each returns first whether the point is guarded, i.e.
+# its singular-set quantity q (g, g^3, s^2, r^3 or s^4) is below _TINY: the
+# kernel returns status 1 there, the engine masks the row.  The forms divide
+# by d = q + guarded, which is q wherever q passes the guard and 1 where it
+# does not, so a float call never divides by zero and the guarded values,
+# never used, stay finite.
+
+if NUMBA_ENABLED:
+
+    @njit
+    def _sqrt(a):
+        return math.sqrt(a)
+
+else:
+    _sqrt = math.sqrt
+
+
 @njit
-def closed_velocity(sys_id, par, x0, x1, x2, out):
-    """Analytic guidance velocity for the stationary systems."""
-    if sys_id == OSCILLATOR:
-        sa = math.sin(par[1])
-        g = x0 * x0 + 2.0 * math.cos(par[1]) * x0 * x1 + x1 * x1
-        if g < _TINY:
-            return 1
-        out[0] = -sa * x1 / g
-        out[1] = sa * x0 / g
-        return 0
+def oscillator_velocity(alpha, x0, x1):
+    """(guarded, u_x, u_y): guidance velocity sin(a) (-y, x) / g of the
+    entangled state, g = x^2 + 2 x y cos(a) + y^2 (zero on the node)."""
+    sa = math.sin(alpha)
+    g = x0 * x0 + 2.0 * math.cos(alpha) * x0 * x1 + x1 * x1
+    guarded = g < _TINY
+    d = g + guarded
+    return guarded, -sa * x1 / d, sa * x0 / d
+
+
+@njit
+def oscillator_grad_qpot(w, alpha, x0, x1):
+    """(guarded, dQ/dx, dQ/dy) of the compact form of the entangled-state Q,
+    Q = -(w^2 r^2 - 4 w + 2/g - N/g^2) / 2 with w = omega, g as in
+    ``oscillator_velocity`` and N = r^2 (1 + cos^2) + 4 x y cos; the
+    published shape is ``systems.oscillator_qpot_closed``.  Guarded where
+    g^3 < _TINY."""
+    c = math.cos(alpha)
+    r2 = x0 * x0 + x1 * x1
+    g = r2 + 2.0 * c * x0 * x1
+    guarded = g * g * g < _TINY
+    d = g + guarded
+    d2 = d * d
+    d3 = d2 * d
+    n = r2 * (1.0 + c * c) + 4.0 * c * x0 * x1
+    gx = 2.0 * (x0 + c * x1)
+    gy = 2.0 * (x1 + c * x0)
+    nx = 2.0 * x0 * (1.0 + c * c) + 4.0 * c * x1
+    ny = 2.0 * x1 * (1.0 + c * c) + 4.0 * c * x0
+    return (
+        guarded,
+        -0.5 * (2.0 * w * w * x0 - 2.0 * gx / d2 - nx / d2 + 2.0 * n * gx / d3),
+        -0.5 * (2.0 * w * w * x1 - 2.0 * gy / d2 - ny / d2 + 2.0 * n * gy / d3),
+    )
+
+
+@njit
+def hydrogen_velocity(m, x0, x1):
+    """(guarded, u_x, u_y): guidance velocity m (-y, x) / s^2, s^2 = x^2 + y^2,
+    guarded on the z axis; u_z = 0.  An m = 0 state does not move and is
+    guarded nowhere."""
+    if m == 0.0:
+        return False, 0.0, 0.0
+    s2 = x0 * x0 + x1 * x1
+    guarded = s2 < _TINY
+    d = s2 + guarded
+    return guarded, -m * x1 / d, m * x0 / d
+
+
+@njit
+def coulomb_grad(x0, x1, x2, sqrt):
+    """(guarded, grad V) of V = -1/r: x / r^3, guarded where r^3 < _TINY.
+    ``sqrt`` is the caller's own, math.sqrt on floats and np.sqrt on arrays;
+    both round correctly, so the bits agree (pow does not promise that)."""
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
+    r3 = r2 * sqrt(r2)
+    guarded = r3 < _TINY
+    d = r3 + guarded
+    return guarded, x0 / d, x1 / d, x2 / d
+
+
+@njit
+def hydrogen_m2_term(m, x0, x1):
+    """(guarded, m^2 x / s^4, m^2 y / s^4): the term that -m^2 / (2 s^2)
+    adds to grad Q = -grad V + m^2 (x, y, 0) / s^4, from the stationary-state
+    identity Q = E_n - V - m^2 / (2 s^2); guarded where s^4 < _TINY.  For
+    m = 0 the term is -0.0, which adds nothing to any value, signed zeros
+    included."""
+    if m == 0.0:
+        return False, -0.0, -0.0
+    s2 = x0 * x0 + x1 * x1
+    s4 = s2 * s2
+    guarded = s4 < _TINY
+    d = s4 + guarded
+    return guarded, m * m * x0 / d, m * m * x1 / d
+
+
+@njit
+def force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_closed, out):
+    """out <- -grad(V) - P(t) grad(Q).  Status 1 on singular/guarded points.
+
+    ``use_closed`` selects the closed grad Q; the caller sets it only for
+    systems that have one (``WaveField.has_closed``)."""
+    v1 = 0.0
+    v2 = 0.0
     if sys_id == HYDROGEN:
-        mq = par[2]
-        if mq == 0.0:
-            out[0] = 0.0
-            out[1] = 0.0
-            out[2] = 0.0
-            return 0
-        s2 = x0 * x0 + x1 * x1
-        if s2 < _TINY:
+        guarded, v0, v1, v2 = coulomb_grad(x0, x1, x2, _sqrt)
+        if guarded:
             return 1
-        out[0] = -mq * x1 / s2
-        out[1] = mq * x0 / s2
-        out[2] = 0.0
-        return 0
-    return 1
-
-
-@njit
-def closed_grad_qpot(sys_id, par, x0, x1, x2, out):
-    """Analytic grad Q.  Status 1 on singular sets.
-
-    Oscillator: gradient of the compact form of the entangled-state Q,
-    Q = -(w^2 r^2 - 4 w + 2/g - N/g^2) / 2 with g = x^2 + 2 x y cos(alpha)
-    + y^2 and N = r^2 (1 + cos^2) + 4 x y cos; the published shape is
-    ``systems.oscillator_qpot_closed``.
-    Hydrogen: gradient of the stationary-state identity Q = E_n - V - m^2 / (2 s^2).
-    """
-    if sys_id == OSCILLATOR:
-        w = par[2]
-        c = math.cos(par[1])
-        r2 = x0 * x0 + x1 * x1
-        g = r2 + 2.0 * c * x0 * x1
-        g2 = g * g
-        g3 = g2 * g
-        if g3 < _TINY:
-            return 1
-        n = r2 * (1.0 + c * c) + 4.0 * c * x0 * x1
-        gx = 2.0 * (x0 + c * x1)
-        gy = 2.0 * (x1 + c * x0)
-        nx = 2.0 * x0 * (1.0 + c * c) + 4.0 * c * x1
-        ny = 2.0 * x1 * (1.0 + c * c) + 4.0 * c * x0
-        out[0] = -0.5 * (2.0 * w * w * x0 - 2.0 * gx / g2 - nx / g2 + 2.0 * n * gx / g3)
-        out[1] = -0.5 * (2.0 * w * w * x1 - 2.0 * gy / g2 - ny / g2 + 2.0 * n * gy / g3)
-        return 0
-    if sys_id == HYDROGEN:
-        mq = par[2]
-        r2 = x0 * x0 + x1 * x1 + x2 * x2
-        r3 = r2 * math.sqrt(r2)
-        if r3 < _TINY:
-            return 1
-        out[0] = -x0 / r3
-        out[1] = -x1 / r3
-        out[2] = -x2 / r3
-        if mq != 0.0:
-            s2 = x0 * x0 + x1 * x1
-            s4 = s2 * s2
-            if s4 < _TINY:
-                return 1
-            out[0] += mq * mq * x0 / s4
-            out[1] += mq * mq * x1 / s4
-        return 0
-    return 1
-
-
-@njit
-def grad_potential_v(sys_id, par, x0, x1, x2, out):
-    if sys_id == OSCILLATOR:
-        out[0] = par[0] * x0
-        out[1] = par[0] * x1
-        return 0
-    if sys_id == HYDROGEN:
-        r2 = x0 * x0 + x1 * x1 + x2 * x2
-        r3 = r2 * math.sqrt(r2)
-        if r3 < _TINY:
-            return 1
-        out[0] = x0 / r3
-        out[1] = x1 / r3
-        out[2] = x2 / r3
-        return 0
-    out[0] = 0.0
-    return 0
-
-
-@njit
-def force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_closed_q, out, scratch):
-    """out <- -grad(V) - P(t) grad(Q).  Status 1 on singular/guarded points."""
-    st = grad_potential_v(sys_id, par, x0, x1, x2, scratch)
-    if st != 0:
-        return st
-    p = coupling_p(ckind, c0, c1, t)
-    if p > _P_FLOOR:
-        rho = density(sys_id, par, x0, x1, x2, t)
-        if not (rho >= min_rho and math.isfinite(rho)):
-            return 1
-        if use_closed_q:
-            st = closed_grad_qpot(sys_id, par, x0, x1, x2, out)
-        else:
-            st = grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out)
-        if st != 0:
-            return st
-        for i in range(dim):
-            out[i] = -scratch[i] - p * out[i]
+    elif sys_id == OSCILLATOR:
+        v0 = par[0] * x0
+        v1 = par[0] * x1
     else:
-        for i in range(dim):
-            out[i] = -scratch[i]
+        v0 = 0.0
+    p = coupling_p(ckind, c0, c1, t)
+    if not p > _P_FLOOR:
+        out[0] = -v0
+        out[1] = -v1
+        out[2] = -v2
+        return 0
+    rho = density(sys_id, par, x0, x1, x2, t)
+    if not (rho >= min_rho and math.isfinite(rho)):
+        return 1
+    if not use_closed:
+        # the stencil fills out[:dim]; the entries past dim only ever hold zeros
+        if grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out) != 0:
+            return 1
+        q0 = out[0]
+        q1 = out[1]
+        q2 = out[2]
+    elif sys_id == OSCILLATOR:
+        guarded, q0, q1 = oscillator_grad_qpot(par[2], par[1], x0, x1)
+        if guarded:
+            return 1
+        q2 = 0.0
+    else:
+        guarded, q0, q1 = hydrogen_m2_term(par[2], x0, x1)
+        if guarded:
+            return 1
+        q0 = -v0 + q0
+        q1 = -v1 + q1
+        q2 = -v2
+    out[0] = -v0 - p * q0
+    out[1] = -v1 - p * q1
+    out[2] = -v2 - p * q2
     return 0
 
 
 @njit
-def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_cv, use_cq, dy, s3a, s3b):
+def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_closed, dy, s3a):
     """ODE right-hand side on the compact state vector.
 
     Guidance: y = x[0:dim], dy = u(x, t).
     Transition: y = (x[0:dim], v[0:dim]), dy = (v, -grad(V + P Q)).
-    ``use_cv``/``use_cq`` select the closed forms; the caller sets them only
-    for systems that have them (``WaveField.has_closed_*``).
+    ``use_closed`` selects the closed forms; the caller sets it only for
+    systems that have them (``WaveField.has_closed``).  s3a is scratch.
     """
     x0 = y[0]
     x1 = y[1] if dim > 1 else 0.0
     x2 = y[2] if dim > 2 else 0.0
     if mode == GUIDANCE:
-        if use_cv:
-            rho = density(sys_id, par, x0, x1, x2, t)
-            if not (rho >= min_rho and math.isfinite(rho)):
-                return 1
-            st = closed_velocity(sys_id, par, x0, x1, x2, s3a)
+        if not use_closed:
+            return velocity_grad_s(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, dy)
+        rho = density(sys_id, par, x0, x1, x2, t)
+        if not (rho >= min_rho and math.isfinite(rho)):
+            return 1
+        if sys_id == OSCILLATOR:
+            guarded, dy[0], dy[1] = oscillator_velocity(par[1], x0, x1)
         else:
-            st = velocity_grad_s(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, s3a)
-        if st != 0:
-            return st
-        for i in range(dim):
-            dy[i] = s3a[i]
+            guarded, dy[0], dy[1] = hydrogen_velocity(par[2], x0, x1)
+            dy[2] = 0.0
+        if guarded:
+            return 1
         return 0
-    st = force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_cq, s3a, s3b)
+    st = force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_closed, s3a)
     if st != 0:
         return st
     for i in range(dim):
@@ -501,7 +539,7 @@ else:
 @njit
 def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
               method, dt0, dt_min, rtol, atol, max_steps,
-              h, rich, min_rho, use_cv, use_cq, xs, vs):
+              h, rich, min_rho, use_closed, xs, vs):
     """Integrate one trajectory, sampling at t_grid via cubic Hermite.
 
     Output samples land in xs, vs (shape (len(t_grid), 3)); for guidance the
@@ -526,7 +564,6 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     k6 = _buf(6)
     k7 = _buf(6)
     s3a = _buf(3)
-    s3b = _buf(3)
     for i in range(dim):
         y[i] = x0v[i]
         if mode == TRANSITION:
@@ -534,7 +571,7 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     t = t_grid[0]
     t_end = t_grid[nt - 1]
 
-    st = rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_cv, use_cq, f0, s3a, s3b)
+    st = rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_closed, f0, s3a)
     if st != 0:
         # initial state is already on a singular set; report it with the
         # starting sample so the caller still sees where it began
@@ -565,27 +602,27 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
         if method == RK45_ADAPTIVE:
             for i in range(nvar):
                 ytmp[i] = y[i] + dt * _A21 * f0[i]
-            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C2 * dt, h, rich, min_rho, use_cv, use_cq, k2, s3a, s3b)
+            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C2 * dt, h, rich, min_rho, use_closed, k2, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A31 * f0[i] + _A32 * k2[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C3 * dt, h, rich, min_rho, use_cv, use_cq, k3, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C3 * dt, h, rich, min_rho, use_closed, k3, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A41 * f0[i] + _A42 * k2[i] + _A43 * k3[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C4 * dt, h, rich, min_rho, use_cv, use_cq, k4, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C4 * dt, h, rich, min_rho, use_closed, k4, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A51 * f0[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C5 * dt, h, rich, min_rho, use_cv, use_cq, k5, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C5 * dt, h, rich, min_rho, use_closed, k5, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A61 * f0[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, use_cv, use_cq, k6, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, use_closed, k6, s3a)
             if fail == 0:
                 for i in range(nvar):
                     yn[i] = y[i] + dt * (_A71 * f0[i] + _A73 * k3[i] + _A74 * k4[i] + _A75 * k5[i] + _A76 * k6[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, use_cv, use_cq, k7, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, use_closed, k7, s3a)
             if fail != 0:
                 halvings += 1
                 if halvings > _MAX_HALVINGS or 0.5 * dt < dt_min:
@@ -610,19 +647,19 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
             # previous step, any stage failure is terminal
             for i in range(nvar):
                 ytmp[i] = y[i] + 0.5 * dt * f0[i]
-            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, use_cv, use_cq, k2, s3a, s3b)
+            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, use_closed, k2, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + 0.5 * dt * k2[i]
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, use_cv, use_cq, k3, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, use_closed, k3, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * k3[i]
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, use_cv, use_cq, k4, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, use_closed, k4, s3a)
             if fail == 0:
                 for i in range(nvar):
                     yn[i] = y[i] + dt / 6.0 * (f0[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, use_cv, use_cq, k7, s3a, s3b)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, use_closed, k7, s3a)
             if fail != 0:
                 return SINGULAR_STOP, gi, n_steps, t, y[0], y[1], y[2]
             errn = 0.0

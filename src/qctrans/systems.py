@@ -17,9 +17,14 @@ integrator, so the two routes cross-check each other.  ``WaveField.rho``
 of hydrogen squares the real amplitude R_nl N_lm P_l^|m| instead of
 |psi|^2: the phase factors have modulus 1, and real arithmetic is several
 times cheaper for the samplers, the KS tables and the ensemble node guard.
-Closed-form density/phase/velocity/Q expressions are kept in their
-published shape on purpose, even where a shorter algebraic form exists, so
-they stay an independent route.
+
+The closed forms here are not the ones the integrator runs (those are in
+:mod:`qctrans.kernels`).  They stay in their published shape on purpose,
+even where a shorter algebraic form exists, so they are an independent
+route: the double slit's density and phase and the oscillator and hydrogen
+velocities and Q are the tests' oracles, Q also draws the field maps of
+``export.compute_field``, and the oscillator density is the ensemble
+engine's node guard.
 """
 
 import inspect
@@ -170,11 +175,9 @@ class WaveField:
             return -1.0 / r
 
     @property
-    def has_closed_velocity(self) -> bool:
-        return self.kind in ("oscillator_2d", "hydrogen")
-
-    @property
-    def has_closed_qpot(self) -> bool:
+    def has_closed(self) -> bool:
+        """Whether the kernels hold closed forms of this system's guidance
+        velocity and grad Q (``kernels.oscillator_velocity`` and the rest)."""
         return self.kind in ("oscillator_2d", "hydrogen")
 
 
@@ -284,17 +287,6 @@ def oscillator_rho_closed(p: Oscillator2DParams, x, y):
     )
 
 
-def oscillator_s_closed(p: Oscillator2DParams, x, y, t):
-    """Phase of the entangled state; agrees with arg(psi) mod 2pi."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    w = p.omega
-    num = x * np.sin(2.0 * w * t) + y * np.sin(2.0 * w * t - p.alpha)
-    den = x * np.cos(2.0 * w * t) + y * np.cos(2.0 * w * t - p.alpha)
-    return -np.arctan2(num, den)
-
-
 def oscillator_velocity_closed(p: Oscillator2DParams, x, y):
     """Guidance velocity; singular on the nodal set x^2 + 2xy cos a + y^2 = 0."""
     x = np.asarray(x, dtype=float)
@@ -322,16 +314,6 @@ def oscillator_qpot_closed(p: Oscillator2DParams, x, y):
     t2 = w * r2 - 4.0
     t3 = x * x * (-4.0 * w * w * y * y * r2 + 16.0 * w * y * y + 1.0) + y * y
     return (-t1 * r2 - 4.0 * t2 * x * w * y * c * r2 + t3 * c * c) / (2.0 * g * g)
-
-
-def oscillator_closed_fields(p: Oscillator2DParams, x, y, t=0.0):
-    """(rho, S, velocity, Q) closed forms in one call."""
-    return (
-        oscillator_rho_closed(p, x, y),
-        oscillator_s_closed(p, x, y, t),
-        oscillator_velocity_closed(p, x, y),
-        oscillator_qpot_closed(p, x, y),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +397,6 @@ def _hydrogen_singular_mask(p: HydrogenParams, x, y, z):
     if p.m != 0:
         bad = bad | (x * x + y * y < 1e-280)
     return bad
-
-
-def hydrogen_s_closed(p: HydrogenParams, x, y, t):
-    """Phase m phi - E_n t; agrees with arg(psi) mod pi (sign of the real
-    amplitude is not tracked)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ang = -p.energy * t
-    return np.angle((x + 1j * y) ** p.m * np.exp(1j * ang)) if p.m != 0 else ang * np.ones_like(x)
 
 
 def hydrogen_velocity_closed(p: HydrogenParams, x, y, z):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,34 @@ def test_simulate_json_round_trip(tmp_path, capsys):
     _, rows = _read_csv_rows(out / "cfg.csv")
     assert f"{tr['x'][1][0]:.15g}" == rows[1][3]
     assert doc["diagnostics"][0]["monitors"]["radius"]["max_drift"] < 1e-5
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_simulate_json_is_strict_for_a_start_at_the_nucleus(tmp_path, capsys):
+    # a start at r = 0 stops at once; its energy -1/r is -inf at every sample
+    doc = {
+        "system": {"type": "hydrogen"},
+        "mode": "classical",
+        "ensemble": {"mode": "fixed", "positions": [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]],
+                     "velocities": [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]]},
+        "time": {"start": 0.0, "end": 1.0, "n_outputs": 5},
+    }
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", _cfg(tmp_path, doc), "--out", str(out),
+                     "--formats", "json"]) == 0
+    strict = json.loads((out / "cfg.json").read_text(), parse_constant=_refuse)
+    at_nucleus, orbit = (d["monitors"] for d in strict["diagnostics"])
+    assert strict["trajectories"][0]["status"] == "singular_stop"
+    assert at_nucleus["energy"] == {"initial": None, "final": None, "max_drift": None}
+    assert at_nucleus["Lz"] == {"initial": 0.0, "final": 0.0, "max_drift": 0.0}
+    assert orbit["energy"]["initial"] == pytest.approx(0.5 * 0.25 - 0.25, rel=1e-14)
+    assert orbit["energy"]["max_drift"] < 1e-6
+    assert load_result(str(out / "cfg.json"))["diagnostics"] == strict["diagnostics"]
 
 
 def test_simulate_svg_one_polyline_per_trajectory(tmp_path, capsys):
