@@ -121,20 +121,11 @@ def _cmd_field(args) -> int:
     sc = _load_scenario(args)
     cfg = sc.output.field or default_field_grid(sc.system)
     grid = exp.compute_field(sc.system, cfg)
-    os.makedirs(sc.output.directory, exist_ok=True)
-    base = os.path.join(sc.output.directory, (sc.output.basename or "run") + "_field")
-    wrote = []
+    base = os.path.join(sc.output.directory, sc.output.basename or "run")
     formats = sc.output.formats
-    if "csv" in formats:
-        exp.write_field_csv(grid, base + ".csv", annotation=sc.annotation())
-        wrote.append(base + ".csv")
-    if "svg" in formats:
-        exp.write_field_svg(grid, sc.annotation(), base + ".svg")
-        wrote.append(base + ".svg")
-    if not wrote:  # json has no field representation; fall back to csv
-        exp.write_field_csv(grid, base + ".csv", annotation=sc.annotation())
-        wrote.append(base + ".csv")
-    for path in wrote:
+    if "csv" not in formats and "svg" not in formats:
+        formats = ("csv",)  # json has no field representation; fall back to csv
+    for path in exp._write_field(grid, sc, base, formats):
         print(f"  wrote {path}", file=sys.stderr)
     return 0
 

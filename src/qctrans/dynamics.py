@@ -12,18 +12,24 @@ the adaptive integrator halves the step up to 40 times before declaring
 
 Two engines run that method:
 
-* the scalar kernel ``kernels.integrate`` takes one trajectory.  It serves
-  ``integrate_guidance`` and ``integrate_transition``, finishes the last
-  trajectories of an ensemble, and is the oracle the ensemble engine is
-  tested against;
 * the ensemble engine ``_run_batch`` steps a whole ensemble as arrays, one
   row per trajectory with its own t, dt, output index, step count and
-  halving count, through accept/reject/halve masks.  Finished rows leave
-  the active arrays.  Once at most ``_HANDOFF`` rows are active, each is
-  handed to the scalar kernel at its last accepted state with its dt, its
-  remaining step budget and the whole run's ``dt_min``: a few trajectories
-  that circle a node for thousands of steps would otherwise pay numpy's
-  per-call cost on every one of them.
+  halving count, through accept/reject/halve masks, on the array
+  right-hand side of :mod:`qctrans.fields`.  Finished rows leave the active
+  arrays.  A single trajectory (``integrate_guidance``,
+  ``integrate_transition``) is a one-row ensemble;
+* the scalar kernel ``kernels.integrate`` takes one trajectory.  Once at
+  most ``_HANDOFF`` rows are active, each is handed to it at its last
+  accepted state with its dt, its remaining step budget and the whole run's
+  ``dt_min``: a few trajectories that circle a node for thousands of steps
+  would otherwise pay numpy's per-call cost on every one of them.  A run of
+  at most ``_HANDOFF`` rows, a single trajectory among them, goes over
+  whole before the array right-hand side runs, so the kernel takes its
+  start guard and sample 0 as well, and stays the oracle the ensemble
+  engine is tested against.  The kernel runs the oscillator and
+  hydrogen closed forms and the double slit's stencil, so the oscillator
+  and hydrogen stencil routes (``use_closed=False``) stay in the batch to
+  the end.
 
 The arithmetic contract of the ensemble engine: it repeats the kernel's step
 control check for check and its arithmetic operation for operation,
@@ -34,8 +40,8 @@ from libm in the last bit).  The closed-form fields of the oscillator and
 hydrogen are the kernel's own functions, called on arrays, and P(t) is the
 kernel's own ``coupling_p`` per trajectory, so on those routes every
 trajectory of an ensemble is bitwise identical to a scalar run of it, in
-any ensemble order or subset.  The double slit's stencil routes use the
-array stencil, which rounds differently from the scalar one.
+any ensemble order or subset.  The double slit's batch steps use the array
+stencil, which rounds differently from the kernel's.
 """
 
 import math
@@ -43,17 +49,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, kernels
+from . import kernels
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .errors import InvalidParameterError
-from .fields import DEFAULT_STENCIL, StencilConfig
+from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _int, _pad3, _real
 from .kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
     _A65, _A71, _A73, _A74, _A75, _A76, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     _MAX_HALVINGS,
 )
-from .systems import WaveField, hydrogen_rho, oscillator_rho_closed
+from .systems import WaveField
 
 STATUS_NAMES = {
     kernels.COMPLETED: "completed",
@@ -86,9 +92,9 @@ class IntegratorConfig:
             )
         for name in ("dt", "rtol", "atol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_real(v) and math.isfinite(v) and v > 0):
                 raise InvalidParameterError(f"{name} must be > 0, got {v!r}")
-        if not (isinstance(self.max_steps, int) and self.max_steps > 0):
+        if not (_int(self.max_steps) and self.max_steps > 0):
             raise InvalidParameterError(f"max_steps must be a positive int, got {self.max_steps!r}")
 
 
@@ -133,7 +139,7 @@ def _dt_min(t_first, t_last):
     return 1e-14 * max(1.0, abs(t_last - t_first))
 
 
-def _kernel(mode, system, coupling, x0, v0, t, cfg, st, use_closed, dt0, dt_min, max_steps):
+def _kernel(mode, system, coupling, x0, v0, t, cfg, st, dt0, dt_min, max_steps):
     """One trajectory through ``kernels.integrate`` from (x0, v0) over the grid
     t; returns the kernel's result tuple and its (xs, vs) sample rows."""
     c0, c1 = coupling._packed()
@@ -141,20 +147,16 @@ def _kernel(mode, system, coupling, x0, v0, t, cfg, st, use_closed, dt0, dt_min,
     vs = np.zeros((len(t), 3))
     result = kernels.integrate(
         mode, system.sys_id, _scalars(system._par), system.dim, coupling._kind, c0, c1,
-        _scalars(fields._pad3(x0)), _scalars(fields._pad3(v0)), _scalars(t),
+        _scalars(_pad3(x0)), _scalars(_pad3(v0)), _scalars(t),
         _METHODS[cfg.method], float(dt0), float(dt_min), float(cfg.rtol), float(cfg.atol),
-        int(max_steps), st.h, st.richardson, st.min_rho, use_closed and system.has_closed,
-        xs, vs,
+        int(max_steps), st.h, st.richardson, st.min_rho, xs, vs,
     )
     return result, xs, vs
 
 
 def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
          use_closed) -> Trajectory:
-    t = _check_grid(t_grid)
-    system._check_t(t)
-    cfg = integrator or IntegratorConfig()
-    st = stencil or DEFAULT_STENCIL
+    """One trajectory: a one-row ensemble."""
     dim = system.dim
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != dim:
@@ -162,22 +164,8 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
     v0 = np.zeros(dim) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     if v0.size != dim:
         raise InvalidParameterError(f"v0 must have {dim} components, got {v0.size}")
-    (status, n_filled, n_steps, stop_t, sx, sy, sz), xs, vs = _kernel(
-        mode, system, coupling, x0, v0, t, cfg, st, use_closed,
-        cfg.dt, _dt_min(float(t[0]), float(t[-1])), cfg.max_steps,
-    )
-    name = STATUS_NAMES[status]
-    traj = Trajectory(
-        t=t[:n_filled].copy(),
-        x=xs[:n_filled, :dim].copy(),
-        v=vs[:n_filled, :dim].copy(),
-        status=name,
-        n_steps=int(n_steps),
-    )
-    if name != "completed":
-        traj.stop_t = float(stop_t)
-        traj.stop_x = np.array([sx, sy, sz])[:dim]
-    return traj
+    return _run_batch(mode, system, coupling, x0[None], v0[None], t_grid, integrator,
+                      stencil, use_closed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,110 +178,26 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
 _HANDOFF = 8
 
 
-def _dense_enough(system, x, t, st):
-    """The node guard rho >= min_rho of the kernel's ``density``; the
-    stationary states' |psi|^2 in real arithmetic (the guard only compares)."""
-    if system.kind == "oscillator_2d":
-        rho = oscillator_rho_closed(system.params, x[:, 0], x[:, 1])
-    elif system.kind == "hydrogen":
-        rho = hydrogen_rho(system.params, x[:, 0], x[:, 1], x[:, 2])
-    else:
-        rho = system.rho(x, t)
-    return (rho >= st.min_rho) & np.isfinite(rho)
-
-
-def _array(form):
-    """A closed form of :mod:`qctrans.kernels` for arrays: its Python source
-    even when numba compiles it for the scalar kernel."""
-    return getattr(form, "py_func", form)
-
-
-def _batch_rhs(mode, system, coupling, st):
-    """rhs(y, t) -> (dy, ok) over an (m, nvar) stack of states with a time
-    for each; ``ok`` is False where the kernel's ``rhs`` returns status 1.
-    The closed forms are the kernel's own, called on columns; their guard
-    flag is negated with np.logical_not, because an m = 0 hydrogen form
-    returns the bool False, and ~False is -1."""
-    dim = system.dim
-    par = system._par.tolist()
-    closed = system.has_closed
-    osc = system.kind == "oscillator_2d"
-    if mode == kernels.GUIDANCE:
-        if not closed:
-            return lambda y, t: fields._grad_s(system, y, t, st)
-        form, arg = ((_array(kernels.oscillator_velocity), par[1]) if osc
-                     else (_array(kernels.hydrogen_velocity), par[2]))
-
-        def guidance(y, t):
-            u = np.zeros_like(y)
-            guarded, u[:, 0], u[:, 1] = form(arg, y[:, 0], y[:, 1])
-            return u, np.logical_not(guarded) & _dense_enough(system, y, t, st)
-
-        return guidance
-
-    kind = coupling._kind
-    c0, c1 = coupling._packed()
-
-    def transition(y, t):
-        x = y[:, :dim]
-        if system.kind == "hydrogen":
-            gv = np.empty_like(x)
-            guarded, gv[:, 0], gv[:, 1], gv[:, 2] = _array(kernels.coulomb_grad)(
-                x[:, 0], x[:, 1], x[:, 2], np.sqrt)
-            ok = ~guarded
-        else:
-            gv = par[0] * x if osc else np.zeros_like(x)
-            ok = np.ones(t.size, dtype=bool)
-        acc = -gv
-        if kind == kernels.CONSTANT:
-            p = np.full(t.size, c0)
-        else:
-            p = np.array([kernels.coupling_p(kind, c0, c1, s) for s in t.tolist()])
-        q = np.flatnonzero(p > kernels._P_FLOOR)
-        if q.size:
-            if q.size == t.size:
-                q = slice(None)
-            xq = x[q]
-            if not closed:
-                gq, ok_q = fields._grad_qpot(system, xq, t[q], st)
-            elif osc:
-                gq = np.empty_like(xq)
-                guarded, gq[:, 0], gq[:, 1] = _array(kernels.oscillator_grad_qpot)(
-                    par[2], par[1], xq[:, 0], xq[:, 1])
-                ok_q = ~guarded
-            else:
-                gq = -gv[q]
-                guarded, m0, m1 = _array(kernels.hydrogen_m2_term)(par[2], xq[:, 0], xq[:, 1])
-                gq[:, 0] += m0
-                gq[:, 1] += m1
-                ok_q = np.logical_not(guarded)
-            acc[q] = -gv[q] - p[q, None] * gq
-            ok[q] &= ok_q & _dense_enough(system, xq, t[q], st)
-        return np.concatenate([y[:, dim:], acc], axis=1), ok
-
-    return transition
-
-
 def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
-               stencil) -> list:
+               stencil, use_closed) -> list:
     """Integrate an ensemble of starts x0 (and v0 in transition mode), each
-    of shape (n, dim), over t_grid; one Trajectory per start, as ``_run``
-    would return it."""
+    of shape (n, dim), over t_grid; one Trajectory per start.
+
+    ``use_closed`` selects the closed forms where the system has them.  The
+    kernel has no oscillator or hydrogen stencil, so with the flag off their
+    rows stay on the array stencil to the end."""
     t = _check_grid(t_grid)
     system._check_t(t)
     cfg = integrator or IntegratorConfig()
     st = stencil or DEFAULT_STENCIL
-    rhs = _batch_rhs(mode, system, coupling, st)
+    handoff = _HANDOFF if use_closed or not system.has_closed else 0
     guidance = mode == kernels.GUIDANCE
-    adaptive = cfg.method == "rk45_adaptive"
     x0 = np.asarray(x0, dtype=float)
     n, dim = x0.shape
     nt = t.size
     t_list = t.tolist()
     t_end = t_list[-1]
-    t_out = np.append(t, np.inf)  # an output index past the grid emits nothing
     dt_min = _dt_min(t_list[0], t_end)
-    rtol, atol = float(cfg.rtol), float(cfg.atol)
 
     xs = np.zeros((n, nt, dim))
     vs = np.zeros((n, nt, dim))
@@ -302,6 +206,34 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
     steps = np.zeros(n, dtype=int)
     stop_t = np.zeros(n)
     stop_x = np.zeros((n, dim))
+
+    def hand_off(i, x, v, sub, dt0, done, first):
+        """Trajectory i on the scalar kernel from (x, v) over the times sub,
+        which end with the grid's; its samples from ``first`` on are kept
+        (sample 0 of a resumed run is its last state, not a grid time)."""
+        (code, nf, n_more, s_t, *s_x), kx, kv = _kernel(
+            mode, system, coupling, x, v, sub, cfg, st, dt0, dt_min, cfg.max_steps - done,
+        )
+        off = nt - len(sub)
+        xs[i, off + first : off + nf] = kx[first:nf, :dim]
+        vs[i, off + first : off + nf] = kv[first:nf, :dim]
+        status[i] = code
+        filled[i] = off + nf
+        steps[i] = done + n_more
+        stop_t[i] = s_t
+        stop_x[i] = s_x[:dim]
+
+    if n <= handoff:
+        # so few rows go to the kernel whole, start guard and sample 0 included
+        for i in range(n):
+            hand_off(i, x0[i], np.zeros(dim) if guidance else np.asarray(v0[i], dtype=float),
+                     t, cfg.dt, 0, 0)
+        return _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x)
+
+    rhs = _batch_rhs(mode, system, coupling, st, use_closed)
+    adaptive = cfg.method == "rk45_adaptive"
+    t_out = np.append(t, np.inf)  # an output index past the grid emits nothing
+    rtol, atol = float(cfg.rtol), float(cfg.atol)
 
     y = x0.copy() if guidance else np.concatenate([x0, np.asarray(v0, dtype=float)], axis=1)
     tt = np.full(n, t_list[0])
@@ -333,30 +265,15 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
         stop_t[i] = tt[rows]
         stop_x[i] = y[rows, :dim]
 
-    def hand_off(r):
-        i, g = idx[r], gi[r]
-        sub = np.array([tt[r], *t_list[g:]])
-        v = np.zeros(dim) if guidance else y[r, dim:]
-        (code, nf, n_more, s_t, *s_x), kx, kv = _kernel(
-            mode, system, coupling, y[r, :dim], v, sub, cfg, st, True,
-            dt[r], dt_min, cfg.max_steps - ns[r],
-        )
-        xs[i, g : g + nf - 1] = kx[1:nf, :dim]
-        vs[i, g : g + nf - 1] = kv[1:nf, :dim]
-        status[i] = code
-        filled[i] = g + nf - 1
-        steps[i] = ns[r] + n_more
-        stop_t[i] = s_t
-        stop_x[i] = s_x[:dim]
-
     with np.errstate(all="ignore"):
         while idx.size:
             keep = np.ones(idx.size, dtype=bool)
-            if idx.size <= _HANDOFF:
+            if idx.size <= handoff:
                 # the scalar kernel restarts its halving count, so a row
                 # goes over only when it has none
                 for r in np.flatnonzero(hv == 0):
-                    hand_off(r)
+                    hand_off(idx[r], y[r, :dim], np.zeros(dim) if guidance else y[r, dim:],
+                             np.array([tt[r], *t_list[gi[r]:]]), dt[r], ns[r], 1)
                     keep[r] = False
             limit = keep & ((ns >= cfg.max_steps) | (dt < dt_min))
             if limit.any():
@@ -472,8 +389,13 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                 idx, y, f0, tt, dt, gi, ns, hv = (
                     arr[keep] for arr in (idx, y, f0, tt, dt, gi, ns, hv))
 
+    return _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x)
+
+
+def _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x):
+    """One Trajectory per row of the engine's sample and status arrays."""
     out = []
-    for i in range(n):
+    for i in range(len(xs)):
         nf = filled[i]
         traj = Trajectory(t=t[:nf].copy(), x=xs[i, :nf].copy(), v=vs[i, :nf].copy(),
                           status=STATUS_NAMES[status[i]], n_steps=int(steps[i]))

@@ -224,7 +224,7 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
         trajectories = _run_batch(
             kernels.GUIDANCE if guided else kernels.TRANSITION, system,
             Constant(1.0) if guided else coupling, pos, vel, t_grid,
-            scenario.integrator, scenario.numerics,
+            scenario.integrator, scenario.numerics, True,
         )
     elif workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

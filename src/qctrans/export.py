@@ -475,13 +475,21 @@ def export_result(result: EnsembleResult, directory=None, formats=None) -> list:
         write_trajectories_svg(result, base + ".svg")
         paths.append(base + ".svg")
     if out.field is not None:
-        grid = compute_field(sc.system, out.field)
-        if "csv" in formats:
-            write_field_csv(grid, base + "_field.csv", annotation=sc.annotation())
-            paths.append(base + "_field.csv")
-        if "svg" in formats:
-            write_field_svg(grid, sc.annotation(), base + "_field.svg")
-            paths.append(base + "_field.svg")
+        paths += _write_field(compute_field(sc.system, out.field), sc, base, formats)
+    return paths
+
+
+def _write_field(grid, scenario, base, formats) -> list:
+    """Write ``grid`` as ``<base>_field.csv`` and ``<base>_field.svg``, each
+    when ``formats`` names it, annotated with the scenario; returns the
+    paths written."""
+    paths = []
+    if "csv" in formats:
+        write_field_csv(grid, base + "_field.csv", annotation=scenario.annotation())
+        paths.append(base + "_field.csv")
+    if "svg" in formats:
+        write_field_svg(grid, scenario.annotation(), base + "_field.svg")
+        paths.append(base + "_field.svg")
     return paths
 
 

@@ -16,8 +16,11 @@ The stencil contract:
 * points with density below ``min_rho`` are masked; the point operators
   raise :class:`NodeProximityError` there.
 
-``force`` is the exception: it calls the scalar integrator kernels, so the
-transition RHS and its point query stay one code path.
+The array right-hand side of the ensemble engine (``_batch_rhs``) lives
+here too, next to the stencil it calls on the stencil routes; on the
+oscillator and hydrogen closed routes it calls the closed forms of
+:mod:`qctrans.kernels` on arrays.  ``force`` is that right-hand side at one
+point.
 """
 
 import math
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidParameterError, NodeProximityError
-from .systems import WaveField
+from .systems import WaveField, hydrogen_rho, oscillator_rho_closed
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,22 @@ class StencilConfig:
     min_rho: float = 1e-12
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
+        if not (_real(self.h) and math.isfinite(self.h) and self.h > 0):
             raise InvalidParameterError(f"stencil h must be > 0, got {self.h!r}")
-        if not (isinstance(self.min_rho, (int, float)) and self.min_rho >= 0):
+        if not isinstance(self.richardson, bool):
+            raise InvalidParameterError(f"richardson must be a bool, got {self.richardson!r}")
+        if not (_real(self.min_rho) and self.min_rho >= 0):
             raise InvalidParameterError(f"min_rho must be >= 0, got {self.min_rho!r}")
+
+
+def _real(v):
+    """An int or float; a bool is an int to isinstance, but never a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(v):
+    """An int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 DEFAULT_STENCIL = StencilConfig()
@@ -235,14 +250,101 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
     st = stencil or DEFAULT_STENCIL
     x = _point(x)
     system._check_t(t)
-    p = _pad3(x)
-    out = np.zeros(3)
-    c0, c1 = coupling._packed()
-    rc = kernels.force(
-        system.sys_id, system._par, system.dim, coupling._kind, c0, c1,
-        p[0], p[1], p[2], float(t), st.h, st.richardson, st.min_rho,
-        bool(use_closed and system.has_closed), out,
-    )
-    if rc != 0:
+    dim = system.dim
+    y = np.zeros((1, 2 * dim))
+    y[0, :dim] = _pad3(x)[:dim]
+    with np.errstate(all="ignore"):
+        dy, ok = _batch_rhs(kernels.TRANSITION, system, coupling, st, use_closed)(
+            y, np.array([float(t)]))
+    if not ok[0]:
         _raise_guarded(x, t, st.min_rho)
-    return out[: system.dim].copy()
+    return dy[0, dim:]
+
+
+# ---------------------------------------------------------------------------
+# the ensemble engine's right-hand side
+# ---------------------------------------------------------------------------
+
+def _dense_enough(system, x, t, st):
+    """The node guard rho >= min_rho of the kernel's ``density``; the
+    stationary states' |psi|^2 in real arithmetic (the guard only compares)."""
+    if system.kind == "oscillator_2d":
+        rho = oscillator_rho_closed(system.params, x[:, 0], x[:, 1])
+    elif system.kind == "hydrogen":
+        rho = hydrogen_rho(system.params, x[:, 0], x[:, 1], x[:, 2])
+    else:
+        rho = system.rho(x, t)
+    return (rho >= st.min_rho) & np.isfinite(rho)
+
+
+def _array(form):
+    """A closed form of :mod:`qctrans.kernels` for arrays: its Python source
+    even when numba compiles it for the scalar kernel."""
+    return getattr(form, "py_func", form)
+
+
+def _batch_rhs(mode, system, coupling, st, use_closed):
+    """rhs(y, t) -> (dy, ok) over an (m, nvar) stack of states with a time
+    for each; ``ok`` is False where the kernel's ``rhs`` returns status 1.
+    ``use_closed`` selects the closed forms where the system has them, the
+    array stencil otherwise.  The closed forms are the kernel's own, called
+    on columns; their guard flag is negated with np.logical_not, because an
+    m = 0 hydrogen form returns the bool False, and ~False is -1."""
+    dim = system.dim
+    par = system._par.tolist()
+    closed = use_closed and system.has_closed
+    osc = system.kind == "oscillator_2d"
+    if mode == kernels.GUIDANCE:
+        if not closed:
+            return lambda y, t: _grad_s(system, y, t, st)
+        form, arg = ((_array(kernels.oscillator_velocity), par[1]) if osc
+                     else (_array(kernels.hydrogen_velocity), par[2]))
+
+        def guidance(y, t):
+            u = np.zeros_like(y)
+            guarded, u[:, 0], u[:, 1] = form(arg, y[:, 0], y[:, 1])
+            return u, np.logical_not(guarded) & _dense_enough(system, y, t, st)
+
+        return guidance
+
+    kind = coupling._kind
+    c0, c1 = coupling._packed()
+
+    def transition(y, t):
+        x = y[:, :dim]
+        if system.kind == "hydrogen":
+            gv = np.empty_like(x)
+            guarded, gv[:, 0], gv[:, 1], gv[:, 2] = _array(kernels.coulomb_grad)(
+                x[:, 0], x[:, 1], x[:, 2], np.sqrt)
+            ok = ~guarded
+        else:
+            gv = par[0] * x if osc else np.zeros_like(x)
+            ok = np.ones(t.size, dtype=bool)
+        acc = -gv
+        if kind == kernels.CONSTANT:
+            p = np.full(t.size, c0)
+        else:
+            p = np.array([kernels.coupling_p(kind, c0, c1, s) for s in t.tolist()])
+        q = np.flatnonzero(p > kernels._P_FLOOR)
+        if q.size:
+            if q.size == t.size:
+                q = slice(None)
+            xq = x[q]
+            if not closed:
+                gq, ok_q = _grad_qpot(system, xq, t[q], st)
+            elif osc:
+                gq = np.empty_like(xq)
+                guarded, gq[:, 0], gq[:, 1] = _array(kernels.oscillator_grad_qpot)(
+                    par[2], par[1], xq[:, 0], xq[:, 1])
+                ok_q = ~guarded
+            else:
+                gq = -gv[q]
+                guarded, m0, m1 = _array(kernels.hydrogen_m2_term)(par[2], xq[:, 0], xq[:, 1])
+                gq[:, 0] += m0
+                gq[:, 1] += m1
+                ok_q = np.logical_not(guarded)
+            acc[q] = -gv[q] - p[q, None] * gq
+            ok[q] &= ok_q & _dense_enough(system, xq, t[q], st)
+        return np.concatenate([y[:, dim:], acc], axis=1), ok
+
+    return transition

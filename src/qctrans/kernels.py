@@ -1,14 +1,18 @@
-"""Scalar integrator kernels: wavefunctions, the right-hand side, DP5(4)/RK4.
+"""Scalar integrator kernel: the right-hand side and DP5(4)/RK4 for one
+trajectory.
 
-This module holds only what ``integrate`` and ``fields.force`` call; field
-queries go through the array stencil in :mod:`qctrans.fields`.  Everything
-here is compiled with numba (see ``_jit``); the same source runs as plain
-Python when the JIT is disabled.  The closed-form fields of the oscillator
-and hydrogen (guidance velocities, grad Q, the Coulomb grad V) are written
-once, as plain arithmetic: the kernel calls them on floats and the ensemble
-engine of :mod:`qctrans.dynamics` on arrays, with the same bits.  Systems
-and coupling schedules are passed as integer codes plus flat float64
-parameter arrays so a single compiled integrator serves every
+This module holds only what ``integrate`` calls: the closed-form fields of
+the oscillator and hydrogen, the double slit's psi with a one-dimensional
+stencil over it, and the real densities of the node guard.  Every other
+route (field queries, ``fields.force``, the oscillator and hydrogen stencils
+behind ``use_closed=False``) runs on the array layer of
+:mod:`qctrans.fields`.  Everything here is compiled with numba (see
+``_jit``); the same source runs as plain Python when the JIT is disabled.
+The closed forms (guidance velocities, grad Q, the Coulomb grad V) are
+written once, as plain arithmetic: the kernel calls them on floats and the
+array right-hand side of :mod:`qctrans.fields` on arrays, with the same
+bits.  Systems and coupling schedules are passed as integer codes plus
+flat float64 parameter arrays so a single compiled integrator serves every
 configuration:
 
 * double slit   params = (rho0, u, X)          dim 1
@@ -91,16 +95,6 @@ def psi_double_slit(rho0, u, x_off, x, t):
 
 
 @njit
-def psi_oscillator(omega, alpha, x, y, t):
-    """Entangled degenerate superposition of the first excited 2D states."""
-    return (
-        (omega / math.sqrt(math.pi))
-        * (x + cmath.exp(1j * alpha) * y)
-        * cmath.exp(-0.5 * omega * (x * x + y * y) - 2j * omega * t)
-    )
-
-
-@njit
 def _genlaguerre(k, a, x):
     """Generalized Laguerre L_k^a(x) by the stable three-term recurrence."""
     if k == 0:
@@ -162,34 +156,6 @@ def _hydrogen_angular(l, ma, z, r):
 
 
 @njit
-def psi_hydrogen(n, l, m, x, y, z, t):
-    """Hydrogen-like eigenstate (atomic units), E_n = -1/(2 n^2)."""
-    en = -0.5 / (n * n)
-    r = math.sqrt(x * x + y * y + z * z)
-    if r < _TINY and l > 0:
-        return 0.0j
-    ma = m if m >= 0 else -m
-    rad = _hydrogen_radial(n, l, r)
-    # angular: N_lm P_l^|m|(cos theta) e^{i m phi}, negative m by conjugation
-    real = _hydrogen_angular(l, ma, z, r)
-    phi = math.atan2(y, x)
-    if m >= 0:
-        ang = real * cmath.exp(1j * ma * phi)
-    else:
-        ang = ((-1.0) ** ma) * real * cmath.exp(-1j * ma * phi)
-    return rad * ang * cmath.exp(-1j * en * t)
-
-
-@njit
-def psi(sys_id, par, x0, x1, x2, t):
-    if sys_id == DOUBLE_SLIT:
-        return psi_double_slit(par[0], par[1], par[2], x0, t)
-    if sys_id == OSCILLATOR:
-        return psi_oscillator(par[2], par[1], x0, x1, t)
-    return psi_hydrogen(int(par[0]), int(par[1]), int(par[2]), x0, x1, x2, t)
-
-
-@njit
 def density(sys_id, par, x0, x1, x2, t):
     """|psi|^2.  The stationary states drop their modulus-1 phase factors:
     the oscillator is (w/pi) w ((x + cos(a) y)^2 + (sin(a) y)^2) e^{-w r^2},
@@ -207,98 +173,76 @@ def density(sys_id, par, x0, x1, x2, t):
             return 0.0
         amp = _hydrogen_radial(n, l, r) * _hydrogen_angular(l, abs(int(par[2])), x2, r)
         return amp * amp
-    w = psi(sys_id, par, x0, x1, x2, t)
+    w = psi_double_slit(par[0], par[1], par[2], x0, t)
     return w.real * w.real + w.imag * w.imag
 
 
-@njit
-def _psi_off(sys_id, par, x0, x1, x2, t, ax, d):
-    if ax == 0:
-        return psi(sys_id, par, x0 + d, x1, x2, t)
-    if ax == 1:
-        return psi(sys_id, par, x0, x1 + d, x2, t)
-    return psi(sys_id, par, x0, x1, x2 + d, t)
+# ---------------------------------------------------------------------------
+# the double slit's stencil
+# ---------------------------------------------------------------------------
+#
+# The double slit has no closed forms, so its guidance velocity and grad Q
+# come from centred differences of psi_double_slit (par = (rho0, u, X)).
+# Each returns (value, status), status 1 where |psi|^2 < min_rho.
 
 
 @njit
-def velocity_grad_s(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out):
+def velocity_grad_s(par, x0, t, h, rich, min_rho):
     """Phase-gradient velocity by centred differences.
 
     Phase increments are referenced to the centre point so each half-stencil
     difference stays on the principal branch (valid while |u| h < pi).
     Richardson extrapolation is applied when ``rich`` is true.
     """
-    pc = psi(sys_id, par, x0, x1, x2, t)
+    rho0, u, x_off = par[0], par[1], par[2]
+    pc = psi_double_slit(rho0, u, x_off, x0, t)
     rho = pc.real * pc.real + pc.imag * pc.imag
     if not (rho >= min_rho and math.isfinite(rho)):
-        return 1
+        return 0.0, 1
     cc = pc.conjugate()
-    for ax in range(dim):
-        pp = _psi_off(sys_id, par, x0, x1, x2, t, ax, h)
-        pm = _psi_off(sys_id, par, x0, x1, x2, t, ax, -h)
-        d1 = (cmath.phase(pp * cc) - cmath.phase(pm * cc)) / (2.0 * h)
-        if rich:
-            pp2 = _psi_off(sys_id, par, x0, x1, x2, t, ax, 2.0 * h)
-            pm2 = _psi_off(sys_id, par, x0, x1, x2, t, ax, -2.0 * h)
-            d2 = (cmath.phase(pp2 * cc) - cmath.phase(pm2 * cc)) / (4.0 * h)
-            out[ax] = (4.0 * d1 - d2) / 3.0
-        else:
-            out[ax] = d1
-    return 0
+    pp = psi_double_slit(rho0, u, x_off, x0 + h, t)
+    pm = psi_double_slit(rho0, u, x_off, x0 - h, t)
+    d1 = (cmath.phase(pp * cc) - cmath.phase(pm * cc)) / (2.0 * h)
+    if not rich:
+        return d1, 0
+    pp2 = psi_double_slit(rho0, u, x_off, x0 + 2.0 * h, t)
+    pm2 = psi_double_slit(rho0, u, x_off, x0 - 2.0 * h, t)
+    d2 = (cmath.phase(pp2 * cc) - cmath.phase(pm2 * cc)) / (4.0 * h)
+    return (4.0 * d1 - d2) / 3.0, 0
 
 
 @njit
-def quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho):
-    """Q = -lap(R) / (2 R) with R = |psi|.  Returns (value, status)."""
-    pc = psi(sys_id, par, x0, x1, x2, t)
-    r0 = abs(pc)
+def quantum_potential(par, x0, t, h, rich, min_rho):
+    """Q = -lap(R) / (2 R) with R = |psi|."""
+    rho0, u, x_off = par[0], par[1], par[2]
+    r0 = abs(psi_double_slit(rho0, u, x_off, x0, t))
     if not (r0 * r0 >= min_rho and math.isfinite(r0)):
         return 0.0, 1
-    l1 = 0.0
-    l2 = 0.0
-    for ax in range(dim):
-        l1 += (
-            abs(_psi_off(sys_id, par, x0, x1, x2, t, ax, h))
-            + abs(_psi_off(sys_id, par, x0, x1, x2, t, ax, -h))
-            - 2.0 * r0
-        )
-        if rich:
-            l2 += (
-                abs(_psi_off(sys_id, par, x0, x1, x2, t, ax, 2.0 * h))
-                + abs(_psi_off(sys_id, par, x0, x1, x2, t, ax, -2.0 * h))
-                - 2.0 * r0
-            )
+    l1 = (abs(psi_double_slit(rho0, u, x_off, x0 + h, t))
+          + abs(psi_double_slit(rho0, u, x_off, x0 - h, t)) - 2.0 * r0)
     q1 = -0.5 * l1 / (h * h * r0)
-    if rich:
-        q2 = -0.5 * l2 / (4.0 * h * h * r0)
-        return (4.0 * q1 - q2) / 3.0, 0
-    return q1, 0
+    if not rich:
+        return q1, 0
+    l2 = (abs(psi_double_slit(rho0, u, x_off, x0 + 2.0 * h, t))
+          + abs(psi_double_slit(rho0, u, x_off, x0 - 2.0 * h, t)) - 2.0 * r0)
+    q2 = -0.5 * l2 / (4.0 * h * h * r0)
+    return (4.0 * q1 - q2) / 3.0, 0
 
 
 @njit
-def grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out):
-    """Numeric grad Q: centred differences of Q with outer step 10h.
+def grad_quantum_potential(par, x0, t, h, rich, min_rho):
+    """Numeric dQ/dx: centred differences of Q with outer step 10h.
 
     The probe values carry a 1/h^2 roundoff floor from the inner Laplacian, so
     the probes run at 5h and the outer step is widened to 10h; both scales are
     needed to keep the assembled gradient below ~1e-5 of truth.
     """
     d = 10.0 * h
-    hi = 5.0 * h
-    for ax in range(dim):
-        if ax == 0:
-            qp, sp = quantum_potential(sys_id, par, dim, x0 + d, x1, x2, t, hi, rich, min_rho)
-            qm, sm = quantum_potential(sys_id, par, dim, x0 - d, x1, x2, t, hi, rich, min_rho)
-        elif ax == 1:
-            qp, sp = quantum_potential(sys_id, par, dim, x0, x1 + d, x2, t, hi, rich, min_rho)
-            qm, sm = quantum_potential(sys_id, par, dim, x0, x1 - d, x2, t, hi, rich, min_rho)
-        else:
-            qp, sp = quantum_potential(sys_id, par, dim, x0, x1, x2 + d, t, hi, rich, min_rho)
-            qm, sm = quantum_potential(sys_id, par, dim, x0, x1, x2 - d, t, hi, rich, min_rho)
-        if sp != 0 or sm != 0:
-            return 1
-        out[ax] = (qp - qm) / (2.0 * d)
-    return 0
+    qp, sp = quantum_potential(par, x0 + d, t, 5.0 * h, rich, min_rho)
+    qm, sm = quantum_potential(par, x0 - d, t, 5.0 * h, rich, min_rho)
+    if sp != 0 or sm != 0:
+        return 0.0, 1
+    return (qp - qm) / (2.0 * d), 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +250,7 @@ def grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, ou
 # ---------------------------------------------------------------------------
 #
 # Each form is plain arithmetic, so the same source takes floats (the
-# kernel below) or numpy arrays (``dynamics._batch_rhs``) and gives the same
+# kernel below) or numpy arrays (``fields._batch_rhs``) and gives the same
 # bits either way.  Each returns first whether the point is guarded, i.e.
 # its singular-set quantity q (g, g^3, s^2, r^3 or s^4) is below _TINY: the
 # kernel returns status 1 there, the engine masks the row.  The forms divide
@@ -403,11 +347,11 @@ def hydrogen_m2_term(m, x0, x1):
 
 
 @njit
-def force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_closed, out):
+def force(sys_id, par, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, out):
     """out <- -grad(V) - P(t) grad(Q).  Status 1 on singular/guarded points.
 
-    ``use_closed`` selects the closed grad Q; the caller sets it only for
-    systems that have one (``WaveField.has_closed``)."""
+    grad Q is the closed form for the oscillator and hydrogen, and the
+    stencil for the double slit."""
     v1 = 0.0
     v2 = 0.0
     if sys_id == HYDROGEN:
@@ -428,25 +372,24 @@ def force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_
     rho = density(sys_id, par, x0, x1, x2, t)
     if not (rho >= min_rho and math.isfinite(rho)):
         return 1
-    if not use_closed:
-        # the stencil fills out[:dim]; the entries past dim only ever hold zeros
-        if grad_quantum_potential(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, out) != 0:
-            return 1
-        q0 = out[0]
-        q1 = out[1]
-        q2 = out[2]
-    elif sys_id == OSCILLATOR:
+    if sys_id == OSCILLATOR:
         guarded, q0, q1 = oscillator_grad_qpot(par[2], par[1], x0, x1)
         if guarded:
             return 1
         q2 = 0.0
-    else:
+    elif sys_id == HYDROGEN:
         guarded, q0, q1 = hydrogen_m2_term(par[2], x0, x1)
         if guarded:
             return 1
         q0 = -v0 + q0
         q1 = -v1 + q1
         q2 = -v2
+    else:
+        q0, st = grad_quantum_potential(par, x0, t, h, rich, min_rho)
+        if st != 0:
+            return 1
+        q1 = 0.0
+        q2 = 0.0
     out[0] = -v0 - p * q0
     out[1] = -v1 - p * q1
     out[2] = -v2 - p * q2
@@ -454,20 +397,21 @@ def force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_
 
 
 @njit
-def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_closed, dy, s3a):
+def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, dy, s3a):
     """ODE right-hand side on the compact state vector.
 
     Guidance: y = x[0:dim], dy = u(x, t).
     Transition: y = (x[0:dim], v[0:dim]), dy = (v, -grad(V + P Q)).
-    ``use_closed`` selects the closed forms; the caller sets it only for
-    systems that have them (``WaveField.has_closed``).  s3a is scratch.
+    The oscillator and hydrogen take their closed forms, the double slit its
+    stencil.  s3a is scratch.
     """
     x0 = y[0]
     x1 = y[1] if dim > 1 else 0.0
     x2 = y[2] if dim > 2 else 0.0
     if mode == GUIDANCE:
-        if not use_closed:
-            return velocity_grad_s(sys_id, par, dim, x0, x1, x2, t, h, rich, min_rho, dy)
+        if sys_id == DOUBLE_SLIT:
+            dy[0], st = velocity_grad_s(par, x0, t, h, rich, min_rho)
+            return st
         rho = density(sys_id, par, x0, x1, x2, t)
         if not (rho >= min_rho and math.isfinite(rho)):
             return 1
@@ -479,7 +423,7 @@ def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_close
         if guarded:
             return 1
         return 0
-    st = force(sys_id, par, dim, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, use_closed, s3a)
+    st = force(sys_id, par, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, s3a)
     if st != 0:
         return st
     for i in range(dim):
@@ -539,7 +483,7 @@ else:
 @njit
 def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
               method, dt0, dt_min, rtol, atol, max_steps,
-              h, rich, min_rho, use_closed, xs, vs):
+              h, rich, min_rho, xs, vs):
     """Integrate one trajectory, sampling at t_grid via cubic Hermite.
 
     Output samples land in xs, vs (shape (len(t_grid), 3)); for guidance the
@@ -549,7 +493,7 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     ``dt_min`` is the smallest step, 1e-14 max(1, span) of the whole run
     (``dynamics._dt_min``), so a run resumed mid-way keeps it.  Without
     numba, ``par``, ``x0v``, ``v0v`` and ``t_grid`` arrive as lists of
-    Python floats (see ``dynamics._run``).
+    Python floats (see ``dynamics._kernel``).
     """
     nt = len(t_grid)
     nvar = dim if mode == GUIDANCE else 2 * dim
@@ -571,7 +515,7 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     t = t_grid[0]
     t_end = t_grid[nt - 1]
 
-    st = rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, use_closed, f0, s3a)
+    st = rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, f0, s3a)
     if st != 0:
         # initial state is already on a singular set; report it with the
         # starting sample so the caller still sees where it began
@@ -602,27 +546,27 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
         if method == RK45_ADAPTIVE:
             for i in range(nvar):
                 ytmp[i] = y[i] + dt * _A21 * f0[i]
-            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C2 * dt, h, rich, min_rho, use_closed, k2, s3a)
+            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C2 * dt, h, rich, min_rho, k2, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A31 * f0[i] + _A32 * k2[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C3 * dt, h, rich, min_rho, use_closed, k3, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C3 * dt, h, rich, min_rho, k3, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A41 * f0[i] + _A42 * k2[i] + _A43 * k3[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C4 * dt, h, rich, min_rho, use_closed, k4, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C4 * dt, h, rich, min_rho, k4, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A51 * f0[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C5 * dt, h, rich, min_rho, use_closed, k5, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + _C5 * dt, h, rich, min_rho, k5, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * (_A61 * f0[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, use_closed, k6, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, k6, s3a)
             if fail == 0:
                 for i in range(nvar):
                     yn[i] = y[i] + dt * (_A71 * f0[i] + _A73 * k3[i] + _A74 * k4[i] + _A75 * k5[i] + _A76 * k6[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, use_closed, k7, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, k7, s3a)
             if fail != 0:
                 halvings += 1
                 if halvings > _MAX_HALVINGS or 0.5 * dt < dt_min:
@@ -647,19 +591,19 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
             # previous step, any stage failure is terminal
             for i in range(nvar):
                 ytmp[i] = y[i] + 0.5 * dt * f0[i]
-            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, use_closed, k2, s3a)
+            fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, k2, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + 0.5 * dt * k2[i]
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, use_closed, k3, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + 0.5 * dt, h, rich, min_rho, k3, s3a)
             if fail == 0:
                 for i in range(nvar):
                     ytmp[i] = y[i] + dt * k3[i]
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, use_closed, k4, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, ytmp, t + dt, h, rich, min_rho, k4, s3a)
             if fail == 0:
                 for i in range(nvar):
                     yn[i] = y[i] + dt / 6.0 * (f0[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, use_closed, k7, s3a)
+                fail = rhs(mode, sys_id, par, dim, ckind, c0, c1, yn, t + dt, h, rich, min_rho, k7, s3a)
             if fail != 0:
                 return SINGULAR_STOP, gi, n_steps, t, y[0], y[1], y[2]
             errn = 0.0

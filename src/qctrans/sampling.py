@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, InvalidParameterError, NodeProximityError
-from .fields import DEFAULT_STENCIL, _grad_s, velocity_grad_s
+from .fields import DEFAULT_STENCIL, _grad_s, _int, velocity_grad_s
 from .systems import WaveField
 
 _MAX_RETRIES = 10
@@ -45,9 +45,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in ("rejection", "quantile_1d", "fixed"):
             raise InvalidParameterError(f"unknown sampler mode {self.mode!r}")
-        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
+        if not (_int(self.n) and self.n >= 1):
             raise InvalidParameterError(f"n must be a positive int, got {self.n!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_int(self.seed) and self.seed >= 0):
             raise InvalidParameterError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.envelope_margin < 1.0:
             raise InvalidParameterError(
@@ -299,11 +299,7 @@ def sample_positions(system: WaveField, sampler: SamplerConfig, t_start=0.0):
                 "quantile_1d requires a 1D system", path="ensemble.mode"
             )
         dom = _domain(system, sampler)[0]
-
-        def fn(x):
-            return system.rho(np.asarray(x, dtype=float)[..., None], t_start)
-
-        cdf = GridCDF(fn, dom[0], dom[1])
+        cdf = GridCDF(marginal_density_1d(system, t_start)[0], dom[0], dom[1])
         levels = (np.arange(sampler.n) + 0.5) / sampler.n
         return cdf.ppf(levels)[:, None]
     return _rejection_sample(system, sampler, t_start, sampler.n, _rng(sampler.seed))

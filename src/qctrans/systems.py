@@ -11,9 +11,11 @@ Three exactly solvable configurations (hbar = m = 1):
 
 Functions here are numpy-vectorized over positions (trailing axis = dim).
 ``WaveField.psi`` is what every field query evaluates, through the array
-stencil of :mod:`qctrans.fields`, as well as the samplers and field grids;
-the scalar kernels in :mod:`qctrans.kernels` carry their own psi for the
-integrator, so the two routes cross-check each other.  ``WaveField.rho``
+stencil of :mod:`qctrans.fields`, as well as the samplers, the field grids
+and the ensemble engine's stencil routes.  The only other psi is the
+double slit's scalar one in :mod:`qctrans.kernels`, behind the integrator's
+one-dimensional stencil, so the two stencils cross-check each other.
+``WaveField.rho``
 of hydrogen squares the real amplitude R_nl N_lm P_l^|m| instead of
 |psi|^2: the phase factors have modulus 1, and real arithmetic is several
 times cheaper for the samplers, the KS tables and the ensemble node guard.

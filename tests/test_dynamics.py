@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qctrans as qt
+from qctrans import dynamics, kernels
 
 TIGHT = qt.IntegratorConfig(rtol=1e-9, atol=1e-11)
 VTIGHT = qt.IntegratorConfig(rtol=1e-10, atol=1e-12)
@@ -58,6 +59,42 @@ def test_guidance_velocity_routes_agree_along_orbit():
     a = qt.integrate_guidance(osc, [1.0, 0.0], tg)
     b = qt.integrate_guidance(osc, [1.0, 0.0], tg, use_closed=False)
     assert np.abs(a.x - b.x).max() < 1e-8
+
+
+def test_only_the_kernels_routes_reach_the_scalar_kernel(monkeypatch):
+    # a single trajectory is a one-row ensemble: it goes over to the scalar
+    # kernel whole, from the first grid time and before the array right-hand
+    # side is built, when the kernel runs its route (the oscillator and
+    # hydrogen closed forms, the double slit's stencil), and stays on the
+    # array stencil when the oscillator or hydrogen closed forms are off
+    calls = []
+    integrate, batch_rhs = kernels.integrate, dynamics._batch_rhs
+
+    def counting(*args):
+        assert list(args[9]) == tg.tolist()
+        calls.append(args[:2])
+        return integrate(*args)
+
+    def array_rhs(mode, system, *args):
+        calls.append(("array", mode))
+        return batch_rhs(mode, system, *args)
+
+    monkeypatch.setattr(kernels, "integrate", counting)
+    monkeypatch.setattr(dynamics, "_batch_rhs", array_rhs)
+    tg = np.linspace(0.0, 0.5, 6)
+    for sys, x0 in ((qt.oscillator_2d(), [1.0, 0.2]), (qt.hydrogen(), [4.0, 0.5, 0.3]),
+                    (qt.double_slit(), [0.5])):
+        state0 = (x0, np.zeros(sys.dim))
+        for use_closed in (False, True):
+            calls.clear()
+            g = qt.integrate_guidance(sys, x0, tg, use_closed=use_closed)
+            t = qt.integrate_transition(sys, qt.Logistic(4.0, 0.25), state0, tg,
+                                        use_closed=use_closed)
+            assert g.completed and t.completed
+            reached = use_closed or not sys.has_closed
+            assert calls == ([(kernels.GUIDANCE, sys.sys_id), (kernels.TRANSITION, sys.sys_id)]
+                             if reached else
+                             [("array", kernels.GUIDANCE), ("array", kernels.TRANSITION)])
 
 
 # --- transition dynamics ------------------------------------------------------
@@ -292,6 +329,10 @@ def test_rk4_matches_rk45():
     lambda: qt.IntegratorConfig(dt=-1.0),
     lambda: qt.IntegratorConfig(max_steps=0),
     lambda: qt.IntegratorConfig(method="euler"),
+    lambda: qt.IntegratorConfig(max_steps=True),
+    lambda: qt.IntegratorConfig(dt=True),
+    lambda: qt.IntegratorConfig(rtol=True),
+    lambda: qt.IntegratorConfig(atol=True),
 ])
 def test_integrator_config_validation(make):
     with pytest.raises(qt.InvalidParameterError):

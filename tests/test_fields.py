@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qctrans as qt
+from qctrans import dynamics, kernels
 from qctrans import systems as qs
 
 
@@ -118,10 +119,12 @@ def test_node_guard_threshold_configurable():
 
 
 def test_stencil_validation():
-    with pytest.raises(qt.InvalidParameterError):
-        qt.StencilConfig(h=0.0)
-    with pytest.raises(qt.InvalidParameterError):
-        qt.StencilConfig(min_rho=-1.0)
+    # a bool is an int to isinstance, and any truthy value would switch
+    # Richardson on
+    for kwargs in ({"h": 0.0}, {"min_rho": -1.0}, {"h": True}, {"min_rho": True},
+                   {"richardson": "no"}, {"richardson": 1}):
+        with pytest.raises(qt.InvalidParameterError):
+            qt.StencilConfig(**kwargs)
 
 
 def test_force_classical_limits():
@@ -180,16 +183,22 @@ def test_qpot_gradient_matches_closed_derivative():
 
 def test_array_stencil_matches_integrator_stencil():
     # the double slit has no closed forms, so the field queries (array
-    # stencil over systems.psi) and the integrator (scalar kernels) share
-    # no code below the stencil contract
+    # stencil over systems.psi) and the scalar kernel (its own psi and
+    # one-dimensional stencil) share no code below the stencil contract
     ds = qt.double_slit()
+    par = dynamics._scalars(ds._par)  # as the kernel receives it
+    st = qt.DEFAULT_STENCIL
+    kind, (c0, c1) = qt.Constant(1.0)._kind, qt.Constant(1.0)._packed()
     for x, t in [(1.1, 0.8), (-0.3, 0.2), (2.4, 1.5), (-3.0, 0.0)]:
         v = qt.velocity_grad_s(ds, np.array([x]), t)
-        tr = qt.integrate_guidance(ds, [x], [t, t + 0.01], use_closed=False)
-        assert np.abs(v - tr.v[0]).max() < 1e-9
+        u, status = kernels.velocity_grad_s(par, x, t, st.h, st.richardson, st.min_rho)
+        assert status == 0
+        assert abs(v[0] - u) < 1e-9
         g = qt.qpot_gradient(ds, np.array([x]), t)
-        f = qt.force(ds, qt.Constant(1.0), np.array([x]), t, use_closed=False)
-        assert np.abs(g + f).max() < 1e-5
+        f = np.zeros(3)
+        assert kernels.force(kernels.DOUBLE_SLIT, par, kind, c0, c1, x, 0.0, 0.0, t,
+                             st.h, st.richardson, st.min_rho, f) == 0
+        assert abs(g[0] + f[0]) < 1e-5
 
 
 def test_field_map_masks_exactly_the_guarded_cells():

@@ -1,8 +1,8 @@
 """The closed forms of ``qctrans.kernels``, shared by the scalar kernel and
-the ensemble engine.
+the ensemble engine, and the kernel's double-slit stencil.
 
 One source serves both: the kernel calls each form on floats, the engine
-(``dynamics._batch_rhs``) on numpy arrays.  The contract checked here:
+(``fields._batch_rhs``) on numpy arrays.  The contract checked here:
 
 * an array call gives, point by point, the bits of the float calls, and
   the same guard flag (the singular-set quantity below ``_TINY``);
@@ -10,7 +10,8 @@ One source serves both: the kernel calls each form on floats, the engine
   axis, the oscillator node), and returns Python floats: plain-Python
   arithmetic on numpy scalars is several times slower;
 * the forms keep the bits that every output of the oscillator and hydrogen
-  routes is computed with (pinned digests over fixed points).
+  routes is computed with (pinned digests over fixed points), and the
+  double-slit stencil the bits of the trajectories the kernel finishes.
 """
 import hashlib
 import math
@@ -21,7 +22,7 @@ import pytest
 
 import qctrans as qt
 from qctrans import kernels
-from qctrans.dynamics import _array
+from qctrans.fields import _array
 
 # (form, leading parameters, coordinates it takes, whether it takes a sqrt)
 _CASES = [
@@ -143,6 +144,41 @@ def test_forms_keep_their_pinned_bits(name, params):
     rows = _pinned_rows(name, params)
     digest = hashlib.sha256(np.asarray(rows, dtype="<f8").tobytes()).hexdigest()[:16]
     assert digest == _PINNED[name, params]
+
+
+# sha256 prefixes of the scalar double-slit stencil (h = 1e-4, min_rho =
+# 1e-12) over _stencil_points(): the bits of every double-slit trajectory
+# the plain-Python kernel finishes.  A perturbation of ~1e-12 in grad Q grows
+# to ~1e-6 along fig1_quantum, so a reordered operation shows here first.
+# The kernel takes its parameters as Python floats (``dynamics._scalars``):
+# numpy's complex division rounds differently from Python's.  Compiled, the
+# stencil rounds differently again (README), so these are no-numba bits
+_STENCIL_PINNED = {
+    ((0.625, -2.0, 2.5), True): ("17aec6992fe04e50", "c221733d9394e043"),
+    ((0.625, -2.0, 2.5), False): ("cac523c790592c61", "b14309350cc8482f"),
+    ((0.4, 3.0, 1.5), True): ("55a00bbb2f166c5c", "358478204c8a4632"),
+    ((0.4, 3.0, 1.5), False): ("5fcd8770c4963237", "de609bdb1569fefc"),
+}
+
+
+def _stencil_points():
+    rng = np.random.default_rng(1987)
+    xs = rng.uniform(-5.0, 5.0, 20)
+    ts = rng.uniform(0.0, 2.5, 20)
+    ts[:3] = 0.0
+    return list(zip(xs.tolist(), ts.tolist()))
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="pins the plain-Python rounding")
+@pytest.mark.parametrize("par,rich", list(_STENCIL_PINNED))
+def test_double_slit_stencil_keeps_its_pinned_bits(par, rich):
+    digests = []
+    for fn in (kernels.velocity_grad_s, kernels.grad_quantum_potential):
+        vals = [fn(list(par), x, t, 1e-4, rich, 1e-12) for x, t in _stencil_points()]
+        assert all(status == 0 for _, status in vals)
+        rows = np.asarray([v for v, _ in vals], dtype="<f8")
+        digests.append(hashlib.sha256(rows.tobytes()).hexdigest()[:16])
+    assert tuple(digests) == _STENCIL_PINNED[par, rich]
 
 
 def test_m0_term_adds_nothing():

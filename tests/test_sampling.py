@@ -356,6 +356,7 @@ def test_node_retry_rejection_resamples():
     {"seed": -1},
     {"envelope_margin": 0.5},
     {"mode": "fixed"},
+    {"seed": True},
 ])
 def test_sampler_config_validation(kwargs):
     with pytest.raises(qt.InvalidParameterError):
