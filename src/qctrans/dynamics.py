@@ -53,7 +53,7 @@ from . import kernels
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .errors import InvalidParameterError
-from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _int, _pad3, _real
+from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _int, _real
 from .kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
     _A65, _A71, _A73, _A74, _A75, _A76, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
@@ -410,6 +410,12 @@ def _factors(errn):
     """0.9 errn^-0.2 with Python's float pow, element by element, as the
     kernel computes it; numpy's vectorised pow rounds differently."""
     return np.array([0.9 * e ** -0.2 for e in errn.tolist()])
+
+
+def _pad3(x):
+    out = np.zeros(3)
+    out[: x.size] = x
+    return out
 
 
 def _scalars(a):

@@ -23,7 +23,6 @@ measures the departure from the quantum distribution.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +226,9 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
             scenario.integrator, scenario.numerics, True,
         )
     elif workers > 1:
+        # imported here: concurrent.futures costs every import of the package
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trajectories = list(pool.map(run_one, range(n)))
     else:

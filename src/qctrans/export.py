@@ -23,7 +23,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -286,6 +285,12 @@ def _nice_ticks(lo, hi, target=6):
     return ticks
 
 
+def _escape(text):
+    """&, > and < as SVG text entities, in the order of
+    ``xml.sax.saxutils.escape`` (whose import pulls in urllib and http)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 class _Canvas:
     """Minimal SVG plot surface with linear data-to-pixel mapping."""
 
@@ -296,7 +301,7 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
             f'viewBox="0 0 {_W} {_H}">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-            f'<text x="10" y="20" font-family="monospace" font-size="12">{escape(title)}</text>',
+            f'<text x="10" y="20" font-family="monospace" font-size="12">{_escape(title)}</text>',
         ]
         self._axes(xlabel, ylabel)
 
@@ -325,9 +330,9 @@ class _Canvas:
             p.append(f'<text x="{_ML - 8}" y="{py + 4:.2f}" font-size="11" '
                      f'text-anchor="end">{ty:.6g}</text>')
         p.append(f'<text x="{_ML + _PW / 2}" y="{_H - 12}" font-size="13" '
-                 f'text-anchor="middle">{escape(xlabel)}</text>')
+                 f'text-anchor="middle">{_escape(xlabel)}</text>')
         p.append(f'<text x="16" y="{_MT + _PH / 2}" font-size="13" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {_MT + _PH / 2})">{escape(ylabel)}</text>')
+                 f'transform="rotate(-90 16 {_MT + _PH / 2})">{_escape(ylabel)}</text>')
 
     def polyline(self, xs, ys, color, width=1.0):
         pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))

@@ -61,17 +61,18 @@ def _int(v):
 DEFAULT_STENCIL = StencilConfig()
 
 
-def _point(x):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size < 1 or x.size > 3:
-        raise InvalidParameterError(f"position must have 1..3 components, got {x.size}")
+def _point(psi, x):
+    """x as a flat position; a system's dimension, or 1..3 for a bare callable.
+    The error names the caller's shape."""
+    a = np.asarray(x, dtype=float)
+    x = a.reshape(-1)
+    if isinstance(psi, WaveField):
+        if x.size != psi.dim:
+            raise InvalidParameterError(
+                f"position must have {psi.dim} components, got shape {a.shape}")
+    elif x.size < 1 or x.size > 3:
+        raise InvalidParameterError(f"position must have 1..3 components, got shape {a.shape}")
     return x
-
-
-def _pad3(x):
-    out = np.zeros(3)
-    out[: x.size] = x
-    return out
 
 
 def _raise_guarded(x, t, min_rho):
@@ -202,7 +203,7 @@ def _grad_qpot(psi, pts, t, st):
 
 def _at_point(core, psi, x, t, stencil):
     st = stencil or DEFAULT_STENCIL
-    x = _point(x)
+    x = _point(psi, x)
     vals, ok = core(psi, x[None], float(t), st)
     if not ok[0]:
         _raise_guarded(x, t, st.min_rho)
@@ -215,7 +216,7 @@ def _at_point(core, psi, x, t, stencil):
 
 def density(psi, x, t):
     """|psi(x, t)|^2 at a single point."""
-    w = _evaluator(psi)(_point(x)[None], float(t))[0]
+    w = _evaluator(psi)(_point(psi, x)[None], float(t))[0]
     return float(w.real * w.real + w.imag * w.imag)
 
 
@@ -248,11 +249,11 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
     double slit).
     """
     st = stencil or DEFAULT_STENCIL
-    x = _point(x)
+    x = _point(system, x)
     system._check_t(t)
     dim = system.dim
     y = np.zeros((1, 2 * dim))
-    y[0, :dim] = _pad3(x)[:dim]
+    y[0, :dim] = x
     with np.errstate(all="ignore"):
         dy, ok = _batch_rhs(kernels.TRANSITION, system, coupling, st, use_closed)(
             y, np.array([float(t)]))
@@ -271,7 +272,7 @@ def _dense_enough(system, x, t, st):
     if system.kind == "oscillator_2d":
         rho = oscillator_rho_closed(system.params, x[:, 0], x[:, 1])
     elif system.kind == "hydrogen":
-        rho = hydrogen_rho(system.params, x[:, 0], x[:, 1], x[:, 2])
+        rho = hydrogen_rho(system._par, x[:, 0], x[:, 1], x[:, 2])
     else:
         rho = system.rho(x, t)
     return (rho >= st.min_rho) & np.isfinite(rho)

@@ -15,9 +15,14 @@ bits.  Systems and coupling schedules are passed as integer codes plus
 flat float64 parameter arrays so a single compiled integrator serves every
 configuration:
 
-* double slit   params = (rho0, u, X)          dim 1
-* oscillator    params = (k0, alpha, omega)    dim 2
-* hydrogen      params = (n, l, m)             dim 3
+* double slit   params = (rho0, u, X)              dim 1
+* oscillator    params = (k0, alpha, omega)        dim 2
+* hydrogen      params = (n, l, m, c_rad, N_lm)    dim 3
+
+The hydrogen normalisations c_rad = (2/n^2) / sqrt((n-l)...(n+l)) and
+N_lm = sqrt((2l+1) / (4 pi) / ((l-|m|+1)...(l+|m|))) are computed once per
+state by ``systems.WaveField`` and read here by the node guard's
+``density``.
 
 Positions are always carried as three scalars; unused trailing coordinates
 are zero.  Status codes returned by field kernels: 0 ok, 1 singular/guarded.
@@ -96,9 +101,8 @@ def psi_double_slit(rho0, u, x_off, x, t):
 
 @njit
 def _genlaguerre(k, a, x):
-    """Generalized Laguerre L_k^a(x) by the stable three-term recurrence."""
-    if k == 0:
-        return 1.0
+    """Generalized Laguerre L_k^a(x), k >= 1, by the stable three-term
+    recurrence."""
     prev = 1.0
     cur = 1.0 + a - x
     for i in range(1, k):
@@ -130,36 +134,11 @@ def _assoc_legendre(l, m, c):
 
 
 @njit
-def _hydrogen_radial(n, l, r):
-    """(2/n^2) sqrt((n-l-1)!/(n+l)!) rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n."""
-    fr = 1.0
-    for i in range(n - l, n + l + 1):
-        fr *= i
-    rho = 2.0 * r / n
-    rp = 1.0
-    for _ in range(l):
-        rp *= rho
-    rad = (2.0 / (n * n)) / math.sqrt(fr) * rp * math.exp(-0.5 * rho)
-    rad *= _genlaguerre(n - l - 1, 2 * l + 1, rho)
-    return rad
-
-
-@njit
-def _hydrogen_angular(l, ma, z, r):
-    """N_lm P_l^|m|(cos theta), the real angular factor."""
-    fa = 1.0
-    for i in range(l - ma + 1, l + ma + 1):
-        fa *= i
-    nrm = math.sqrt((2.0 * l + 1.0) / (4.0 * math.pi) / fa)
-    cth = z / r if r > 0.0 else 1.0
-    return nrm * _assoc_legendre(l, ma, cth)
-
-
-@njit
 def density(sys_id, par, x0, x1, x2, t):
     """|psi|^2.  The stationary states drop their modulus-1 phase factors:
     the oscillator is (w/pi) w ((x + cos(a) y)^2 + (sin(a) y)^2) e^{-w r^2},
-    hydrogen the square of its real amplitude R_nl N_lm P_l^|m|."""
+    hydrogen the square of its real amplitude R_nl N_lm P_l^|m|, with the
+    normalisations c_rad and N_lm read from ``par``."""
     if sys_id == OSCILLATOR:
         w = par[2]
         a = x0 + math.cos(par[1]) * x1
@@ -171,7 +150,15 @@ def density(sys_id, par, x0, x1, x2, t):
         r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
         if r < _TINY and l > 0:
             return 0.0
-        amp = _hydrogen_radial(n, l, r) * _hydrogen_angular(l, abs(int(par[2])), x2, r)
+        rho = 2.0 * r / n
+        rp = 1.0
+        for _ in range(l):
+            rp *= rho
+        rad = par[3] * rp * math.exp(-0.5 * rho)
+        if n - l - 1 > 0:  # L_0 is exactly 1
+            rad *= _genlaguerre(n - l - 1, 2 * l + 1, rho)
+        cth = x2 / r if r > 0.0 else 1.0
+        amp = rad * (par[4] * _assoc_legendre(l, abs(int(par[2])), cth))
         return amp * amp
     w = psi_double_slit(par[0], par[1], par[2], x0, t)
     return w.real * w.real + w.imag * w.imag

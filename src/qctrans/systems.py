@@ -116,7 +116,10 @@ class WaveField:
         elif kind == "hydrogen":
             self.sys_id = kernels.HYDROGEN
             self.dim = 3
-            self._par = np.array([float(params.n), float(params.l), float(params.m)])
+            # the normalisations, once per state, for the kernel's density
+            # and the array one alike
+            self._par = np.array([float(params.n), float(params.l), float(params.m),
+                                  *_hydrogen_norms(params.n, params.l, abs(params.m))])
         else:
             raise InvalidParameterError(f"unknown system kind {kind!r}")
 
@@ -149,7 +152,7 @@ class WaveField:
             xx, yy = self._split(x)
             return oscillator_psi(self.params, xx, yy, t)
         xx, yy, zz = self._split(x)
-        return hydrogen_psi(self.params, xx, yy, zz, t)
+        return hydrogen_psi(self.params, self._par, xx, yy, zz, t)
 
     def rho(self, x, t):
         """|psi|^2; for hydrogen the square of its real amplitude."""
@@ -158,7 +161,7 @@ class WaveField:
             return (w * w.conjugate()).real
         t = self._check_t(t)
         xx, yy, zz = self._split(x)
-        rho = hydrogen_rho(self.params, xx, yy, zz)
+        rho = hydrogen_rho(self._par, xx, yy, zz)
         if t.ndim:
             rho = np.broadcast_to(rho, np.broadcast_shapes(rho.shape, t.shape)).copy()
         return rho
@@ -322,34 +325,44 @@ def oscillator_qpot_closed(p: Oscillator2DParams, x, y):
 # hydrogen
 # ---------------------------------------------------------------------------
 
-def _hydrogen_real(p: HydrogenParams, x, y, z):
-    """(R_nl(r), N_lm P_l^|m|(cos theta)): the real factors of the eigenstate."""
-    n, l = p.n, p.l
-    ma = abs(p.m)
-    r = np.sqrt(x * x + y * y + z * z)
-    rho = 2.0 * r / n
+def _hydrogen_norms(n, l, ma):
+    """(c_rad, N_lm) = ((2/n^2) / sqrt((n-l)...(n+l)),
+    sqrt((2l+1) / (4 pi) / ((l-|m|+1)...(l+|m|)))): the normalisations of
+    R_nl and of N_lm P_l^|m|, which ``WaveField`` computes once per state."""
     fr = 1.0
     for i in range(n - l, n + l + 1):
         fr *= i
-    rad = (2.0 / n**2) / math.sqrt(fr) * rho**l * np.exp(-0.5 * rho)
-    rad = rad * _genlaguerre_np(n - l - 1, 2 * l + 1, rho)
     fa = 1.0
     for i in range(l - ma + 1, l + ma + 1):
         fa *= i
-    nrm = math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cth = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    return rad, nrm * _assoc_legendre_np(l, ma, cth)
+    return (2.0 / n**2) / math.sqrt(fr), math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
 
 
-def hydrogen_psi(p: HydrogenParams, x, y, z, t):
-    """Eigenstate via Laguerre/Legendre recurrences (vectorized)."""
+def _hydrogen_real(par, x, y, z):
+    """(R_nl(r), N_lm P_l^|m|(cos theta)): the real factors of the eigenstate.
+    ``par`` is the kernel's (n, l, m, c_rad, N_lm), see ``WaveField._par``."""
+    n, l, ma = int(par[0]), int(par[1]), abs(int(par[2]))
+    r = np.sqrt(x * x + y * y + z * z)
+    rho = 2.0 * r / n
+    rad = par[3] * rho**l * np.exp(-0.5 * rho)
+    if n - l - 1 > 0:  # L_0 is exactly 1
+        rad = rad * _genlaguerre_np(n - l - 1, 2 * l + 1, rho)
+    if (r > 0).all():
+        cth = z / r
+    else:
+        cth = np.divide(z, r, out=np.ones_like(r), where=r > 0)
+    return rad, par[4] * _assoc_legendre_np(l, ma, cth)
+
+
+def hydrogen_psi(p: HydrogenParams, par, x, y, z, t):
+    """Eigenstate via Laguerre/Legendre recurrences (vectorized); ``par`` as
+    in ``_hydrogen_real``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     ma = abs(p.m)
-    rad, ang = _hydrogen_real(p, x, y, z)
+    rad, ang = _hydrogen_real(par, x, y, z)
     phi = np.arctan2(y, x)
     ang = ang * np.exp(1j * ma * phi)
     if p.m < 0:
@@ -357,18 +370,18 @@ def hydrogen_psi(p: HydrogenParams, x, y, z, t):
     return rad * ang * np.exp(-1j * p.energy * t)
 
 
-def hydrogen_rho(p: HydrogenParams, x, y, z):
+def hydrogen_rho(par, x, y, z):
     """|psi|^2 as the square of the real amplitude R_nl N_lm P_l^|m|: the
-    phase factors e^{i m phi} and e^{-i E t} have modulus 1."""
-    rad, ang = _hydrogen_real(p, x, y, z)
+    phase factors e^{i m phi} and e^{-i E t} have modulus 1.  ``par`` as in
+    ``_hydrogen_real``."""
+    rad, ang = _hydrogen_real(par, x, y, z)
     a = rad * ang
     return a * a
 
 
 def _genlaguerre_np(k, a, x):
-    if k == 0:
-        return np.ones_like(x)
-    prev = np.ones_like(x)
+    """L_k^a(x) for k >= 1 by the three-term recurrence."""
+    prev = 1.0
     cur = 1.0 + a - x
     for i in range(1, k):
         prev, cur = cur, ((2.0 * i + 1.0 + a - x) * cur - (i + a) * prev) / (i + 1.0)
@@ -376,7 +389,8 @@ def _genlaguerre_np(k, a, x):
 
 
 def _assoc_legendre_np(l, m, c):
-    pmm = np.ones_like(c)
+    """P_l^m(c) for m >= 0, Condon-Shortley phase; the float 1.0 for l = 0."""
+    pmm = 1.0
     if m > 0:
         s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
         for i in range(m):

@@ -266,6 +266,19 @@ def test_field_quantity_rho_has_no_mask(tmp_path, capsys):
     assert arr.max() == pytest.approx(np.exp(-1.0) / np.pi, rel=1e-2)
 
 
+def test_import_loads_neither_urllib_nor_concurrent_futures():
+    # xml.sax.saxutils would pull in urllib.request, http.client and email;
+    # concurrent.futures serves only the numba thread pool
+    code = ("import sys, qctrans, qctrans.cli; "
+            "print([m for m in ('urllib.request', 'concurrent.futures') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(qt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --- pure-python fallback parity ------------------------------------------
 # With numba the in-process run is compiled and the QCTRANS_NO_NUMBA run is
 # the fallback.  Without numba both runs would be the same fallback, so the

@@ -14,7 +14,13 @@ import pytest
 
 import qctrans as qt
 from qctrans.cli import main
-from qctrans.export import FieldGrid, compute_field, write_field_csv, write_field_svg
+from qctrans.export import (
+    FieldGrid,
+    _escape,
+    compute_field,
+    write_field_csv,
+    write_field_svg,
+)
 
 # --- oracle ---------------------------------------------------------------------
 
@@ -237,3 +243,11 @@ def test_mismatched_grid_fails_before_the_file_opens(tmp_path):
         with pytest.raises(qt.InvalidParameterError):
             write(str(tmp_path / "new" / path))
         assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "a & b < c > d", "&amp; &lt;tag&gt;", "\"double\" and 'single'",
+    "ψ(x, t) ≥ 0 & ρ < 1e-12", "<<&&>>", "guidance (2,1,1) <n=50>",
+])
+def test_svg_text_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)

@@ -127,6 +127,29 @@ def test_stencil_validation():
             qt.StencilConfig(**kwargs)
 
 
+_POINT_OPERATORS = {
+    "density": qt.density,
+    "velocity_grad_s": qt.velocity_grad_s,
+    "quantum_potential": qt.quantum_potential,
+    "qpot_gradient": qt.qpot_gradient,
+    "force": lambda sys, x, t: qt.force(sys, qt.Constant(1.0), x, t),
+}
+
+
+@pytest.mark.parametrize("name", list(_POINT_OPERATORS))
+@pytest.mark.parametrize("kind,x", [
+    ("double_slit", [1.0, 2.0, 3.0]),
+    ("hydrogen", np.array([1.0, 2.0])),
+    ("oscillator_2d", [[1.0, 2.0, 3.0]]),
+])
+def test_point_operators_reject_a_position_of_the_wrong_size(name, kind, x):
+    # neither padded nor truncated to the system's dimension, and the error
+    # names the shape the caller passed, not the stencil stack built from it
+    with pytest.raises(qt.InvalidParameterError) as exc:
+        _POINT_OPERATORS[name](qt.make_system(kind), x, 0.5)
+    assert f"got shape {np.shape(x)}" in str(exc.value)
+
+
 def test_force_classical_limits():
     ds = qt.double_slit()
     assert qt.force(ds, qt.Constant(0.0), np.array([1.0]), 0.5) == pytest.approx([0.0])

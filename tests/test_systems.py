@@ -4,6 +4,7 @@ Reference values are computed independently from the printed formulas; the
 reduced figure-parameter forms are typed out here as a second route.
 """
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -281,12 +282,41 @@ def test_hydrogen_real_density_matches_psi_squared(nlm):
     # the real amplitude R_nl N_lm P_l^|m| squared is |psi|^2: the phase
     # factors e^{i m phi} e^{-i E t} have modulus 1
     hyd = qt.hydrogen(*nlm)
-    par = [float(v) for v in nlm]
+    par = hyd._par.tolist()
     for t in (0.0, 3.7):
         ref = np.abs(hyd.psi(_DENSITY_POINTS, t)) ** 2
         assert _rel_err(hyd.rho(_DENSITY_POINTS, t), ref).max() < 1e-14
         for p, r in zip(_DENSITY_POINTS, ref):
             assert _rel_err(kernels.density(kernels.HYDROGEN, par, *p.tolist(), t), r) < 1e-14
+
+
+# sha256 (first 16 hex digits) of the float64 densities at _DENSITY_POINTS,
+# t = 0: (scalar kernels.density, array WaveField.rho).  They pin the node
+# guard's bits: any change of operation order in either density shows here.
+# The two differ from each other in the last bits (numpy's exp and pow
+# against libm's exp and a repeated product), so each has its own digest.
+_HYDROGEN_DENSITY_DIGESTS = {
+    (2, 1, 1): ("85b6fe10d2d7e7b2", "5888aaeef80ff7f6"),
+    (1, 0, 0): ("da12c49dc4f1fe85", "287c6b751a324f0f"),
+    (3, 2, -2): ("277313e5169cf530", "bf2b54d4bc2428e8"),
+    (3, 1, 0): ("5b7f777b58eac33a", "a3ece0fc03f86696"),
+    (4, 3, -1): ("18c569f6ae8b84d5", "cf40a989e0ffe075"),
+    (4, 2, 1): ("78ab8d5657554ece", "716e61a2189c6943"),
+    (5, 2, 1): ("5505d238dc941cf1", "57308fdb7cc4658f"),  # radial nodes
+}
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("nlm", list(_HYDROGEN_DENSITY_DIGESTS))
+def test_hydrogen_density_bits_are_pinned(nlm):
+    hyd = qt.hydrogen(*nlm)
+    par = hyd._par.tolist()
+    scalar = [kernels.density(kernels.HYDROGEN, par, *p, 0.0) for p in _DENSITY_POINTS.tolist()]
+    assert (_digest(scalar), _digest(hyd.rho(_DENSITY_POINTS, 0.0))) == \
+        _HYDROGEN_DENSITY_DIGESTS[nlm]
 
 
 @pytest.mark.parametrize("k0,alpha", [(1.0, math.pi / 2), (2.3, 0.4), (0.5, -2.0), (1.0, 0.0)])
