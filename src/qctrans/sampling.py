@@ -17,6 +17,20 @@ optional), which is how figure-style runs pin their starting points.
 Initial velocities are the phase gradient grad S at t_start.  Positions that
 land inside the node guard are perturbed by the stencil step (quantile/fixed)
 or resampled (rejection), at most 10 times each.
+
+Every bulk |psi|^2 evaluation here (the envelope scan, the hydrogen marginal
+quadratures and the rejection candidates) runs on blocks of about ``_BLOCK``
+= 2^13 points, and the scan and the marginals write each block's points into
+one reused buffer.  A hydrogen |psi|^2 holds up to six temporaries the size
+of its input at once, ~400 kB for a block, so they stay in cache and peak
+memory no longer grows with the grid or the candidate batch.  The size is
+measured: with glibc's default malloc thresholds a fresh process hands the
+memory of a 2^14- or 2^15-point block back to the kernel after each block
+and faults it in again (the hydrogen s marginal then ran ~1.8x slower than
+at 2^13), and at 2^12 an s-marginal block is a single abscissa and pays
+numpy's per-call cost.  Each block goes through the same elementwise numpy
+operations as the whole array would, so every value is bitwise the same as
+one pass over all points.
 """
 
 import math
@@ -25,10 +39,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, InvalidParameterError, NodeProximityError
-from .fields import DEFAULT_STENCIL, _grad_s, _int, velocity_grad_s
+from .fields import DEFAULT_STENCIL, _grad_s, _int, _real, velocity_grad_s
 from .systems import WaveField
 
 _MAX_RETRIES = 10
+_BLOCK = 1 << 13  # points per bulk density evaluation
+
+
+def _by_rows(f, x, rows):
+    """f(x) for an f that maps each row of x (along its first axis) to one
+    float, evaluated on at most ``rows`` rows at a time."""
+    out = np.empty(len(x))
+    for i in range(0, len(x), rows):
+        out[i : i + rows] = f(x[i : i + rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,9 +73,16 @@ class SamplerConfig:
             raise InvalidParameterError(f"n must be a positive int, got {self.n!r}")
         if not (_int(self.seed) and self.seed >= 0):
             raise InvalidParameterError(f"seed must be a non-negative int, got {self.seed!r}")
-        if self.envelope_margin < 1.0:
+        if not (_real(self.envelope_margin) and math.isfinite(self.envelope_margin)
+                and self.envelope_margin >= 1.0):
             raise InvalidParameterError(
-                f"envelope_margin must be >= 1, got {self.envelope_margin}"
+                f"envelope_margin must be a finite real >= 1, got {self.envelope_margin!r}"
+            )
+        if self.envelope is not None and not (
+            _real(self.envelope) and math.isfinite(self.envelope) and self.envelope > 0
+        ):
+            raise InvalidParameterError(
+                f"envelope must be None or a finite real > 0, got {self.envelope!r}"
             )
         if self.mode == "fixed" and self.positions is None:
             raise InvalidParameterError("fixed sampler mode requires positions")
@@ -108,27 +139,24 @@ class GridCDF:
     continuous at every node, and ``mean``/``var`` are Simpson sums.
     Quantiles are found by bisection from the full symmetric interval, so an
     antisymmetric-density midpoint level hits the centre exactly.
-    """
 
-    _CHUNK = 1024  # marginal callbacks broadcast an inner quadrature axis
+    ``fn`` receives all new abscissae of a refinement step in one call (up
+    to 8192 for the tables built here).  The hydrogen callbacks of
+    ``marginal_density_1d`` bound their own memory: each abscissa is a
+    trapezoid over 1025 or 2049 inner points, evaluated ``_BLOCK // inner``
+    abscissae at a time.
+    """
 
     def __init__(self, fn, lo, hi, n_cells=4096, tol=1e-12, max_cells=1 << 19):
         self.lo = float(lo)
         self.hi = float(hi)
-
-        def evaluate(x):
-            out = np.empty(x.shape)
-            for i in range(0, x.size, self._CHUNK):
-                out[i : i + self._CHUNK] = fn(x[i : i + self._CHUNK])
-            return out
-
         n = int(n_cells)
         nodes = np.linspace(self.lo, self.hi, n + 1)
-        f_nodes = evaluate(nodes)
+        f_nodes = np.asarray(fn(nodes), dtype=float)
         total_prev = None
         while True:
             mids = 0.5 * (nodes[:-1] + nodes[1:])
-            f_mids = evaluate(mids)
+            f_mids = np.asarray(fn(mids), dtype=float)
             cells = _simpson_cells(nodes, f_nodes, f_mids)
             total = float(cells.sum())
             if total_prev is not None and abs(total - total_prev) <= tol * max(total, 1e-300):
@@ -239,34 +267,37 @@ def marginal_density_1d(system: WaveField, t=0.0, axis="auto"):
             return 2.0 * w * w * r**3 * np.exp(-w * r * r)
 
         return fn, 0.0, hi
-    # hydrogen: |psi|^2 is phi-independent, so the phi integral is 2 pi
+    # hydrogen: |psi|^2 is phi-independent, so the phi integral is 2 pi.
+    # Each abscissa is a trapezoid over an inner axis; a block of
+    # _BLOCK // inner abscissae reuses one point buffer, in which only the
+    # abscissa's coordinate changes from block to block
     hi = default_domain(system)[0][1]
     if axis == "z":
-        def fn(z):
-            z = np.asarray(z, dtype=float)
-            s = np.linspace(0.0, hi, 1025)
-            pts = np.stack(
-                [np.broadcast_to(s, z.shape + s.shape),
-                 np.zeros(z.shape + s.shape),
-                 np.broadcast_to(z[..., None], z.shape + s.shape)], axis=-1
-            )
-            vals = system.rho(pts, t) * s
-            return 2.0 * math.pi * np.trapezoid(vals, s, axis=-1)
+        inner = np.linspace(0.0, hi, 1025)  # s, on the half-plane y = 0, x = s
+        lo, col, inner_col = -hi, 2, 0
 
-        return fn, -hi, hi
+        def integral(z, rho):
+            return 2.0 * math.pi * np.trapezoid(rho * inner, inner, axis=-1)
+    else:
+        inner = np.linspace(-hi, hi, 2049)  # z
+        lo, col, inner_col = 0.0, 0, 2
 
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        z = np.linspace(-hi, hi, 2049)
-        pts = np.stack(
-            [np.broadcast_to(s[..., None], s.shape + z.shape),
-             np.zeros(s.shape + z.shape),
-             np.broadcast_to(z, s.shape + z.shape)], axis=-1
-        )
-        vals = system.rho(pts, t)
-        return 2.0 * math.pi * s * np.trapezoid(vals, z, axis=-1)
+        def integral(s, rho):
+            return 2.0 * math.pi * s * np.trapezoid(rho, inner, axis=-1)
 
-    return fn, 0.0, hi
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        buf = np.zeros((max(1, _BLOCK // inner.size), inner.size, 3))
+        buf[..., inner_col] = inner
+
+        def block(a):
+            pts = buf[: a.size]
+            pts[..., col] = a[:, None]
+            return integral(a, system.rho(pts, t))
+
+        return _by_rows(block, x.ravel(), len(buf)).reshape(x.shape)
+
+    return fn, lo, hi
 
 
 def _rng(seed):
@@ -274,13 +305,30 @@ def _rng(seed):
 
 
 def estimate_envelope(system: WaveField, domain, t, margin):
-    """Grid-scanned density maximum times the safety margin."""
+    """Grid-scanned density maximum times the safety margin.
+
+    The grid has n = 8192, 512 or 96 points per axis in 1, 2 or 3
+    dimensions.  It is evaluated in slabs of whole first-axis rows, as many
+    as fit in ``_BLOCK`` points and at least one (the whole 1D grid, 16
+    rows of 512 in 2D, one row of 96^2 in 3D), so the 3D scan holds ~1 MB
+    instead of ~85.  The maximum over the row maxima is the maximum of the
+    whole grid, and a NaN anywhere still propagates to the result.
+    """
     dim = system.dim
     n = {1: 8192, 2: 512, 3: 96}[dim]
+    m = n ** (dim - 1)  # points per first-axis row
     axes = [np.linspace(lo, hi, n) for lo, hi in domain]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return float(system.rho(pts, t).max()) * margin
+    rows = min(n, max(1, _BLOCK // m))
+    # one slab's points, reused: only the first coordinate changes per slab
+    grids = np.meshgrid(np.zeros(rows), *axes[1:], indexing="ij")
+    slab = np.stack([g.ravel() for g in grids], axis=-1)
+
+    def row_max(x0):
+        pts = slab[: x0.size * m]
+        pts[:, 0] = np.repeat(x0, m)
+        return system.rho(pts, t).reshape(x0.size, m).max(axis=1)
+
+    return float(np.max(_by_rows(row_max, axes[0], rows))) * margin
 
 
 def sample_positions(system: WaveField, sampler: SamplerConfig, t_start=0.0):
@@ -328,7 +376,7 @@ def _rejection_sample(system, sampler, t_start, n, rng):
                 path="ensemble",
             )
         pts = lo + wid * rng.random((chunk, dim))
-        rho = system.rho(pts, t_start)
+        rho = _by_rows(lambda p: system.rho(p, t_start), pts, _BLOCK)
         bad = rho > env
         if np.any(bad):
             pt = pts[np.argmax(bad)]

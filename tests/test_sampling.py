@@ -1,5 +1,7 @@
 """Initial-condition sampling: quantile placement, rejection streams, grad-S."""
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,23 @@ from qctrans.sampling import (
     marginal_density_1d,
     sample_initial_conditions,
 )
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _peak_bytes(f):
+    """Peak traced allocation of f(); numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- GridCDF ------------------------------------------------------------------
@@ -80,6 +99,38 @@ def test_gridcdf_answers_from_its_table():
     # the partial-cell parabola integrates to the whole Simpson cell
     x = g.nodes[1:-1]
     assert np.abs(g.cdf(np.nextafter(x, -np.inf)) - g.cdf(x)).max() < 1e-14
+
+
+# The bulk densities run in blocks of sampling._BLOCK points.  These digests
+# were recorded from one whole-array numpy pass (x86-64, numpy 2.4); blocking
+# must reproduce every bit of the KS and quantile tables built on them.
+@pytest.mark.parametrize("system, t, axis, cells, digest", [
+    (qt.hydrogen(), 0.0, "s", 1024,
+     "d62c60fa99b7861223955909a07535e9217e8c5be7f2af480e08261e303846bd"),
+    (qt.hydrogen(), 0.0, "z", 1024,
+     "7dc1ace83d97cbeef9666f425c717ba1118d587d810b3d0a3277768ad85a841c"),
+    (qt.hydrogen(3, 2, -1), 0.0, "s", 1024,
+     "46a350ee98e83f4047bff55d075db5df7e61555a2126734fbdefe4e2ef956dde"),
+    (qt.hydrogen(3, 2, -1), 0.0, "z", 1024,
+     "596abf28c568740e3038911d57199551a4c814d4b367cdb304351dc4ff83d1f1"),
+    (qt.oscillator_2d(), 0.0, "auto", 4096,
+     "a292e1fb811697d160837f67ed4f5d93ddf67753326f81d4f06fb642713c3bb4"),
+    (qt.double_slit(), 0.0, "auto", 4096,
+     "69d4b88ce12ee6d37a514ecd2fdba51f7afa0618e144615ceb81cadbe35a740c"),
+    (qt.double_slit(), 3.0, "auto", 4096,
+     "576a9fc860df0ab581056200c20d55c7fd64807d991a75a3e5f74936ba9ed56f"),
+], ids=["h211-s", "h211-z", "h32-1-s", "h32-1-z", "osc", "slit-t0", "slit-t3"])
+def test_marginal_table_bits_are_pinned(system, t, axis, cells, digest):
+    fn, lo, hi = marginal_density_1d(system, t, axis=axis)
+    g = GridCDF(fn, lo, hi, n_cells=cells)
+    assert _sha256(g.nodes, g.f_nodes, g.f_mids, g.cum) == digest
+
+
+def test_hydrogen_marginal_stays_in_bounded_memory():
+    # 1024 abscissae of 2049 inner points each took ~150 MB as one array
+    fn, lo, hi = marginal_density_1d(qt.hydrogen(), axis="s")
+    s = np.linspace(lo, hi, 1024)
+    assert _peak_bytes(lambda: fn(s)) < 16e6
 
 
 # --- marginals ----------------------------------------------------------------
@@ -188,6 +239,49 @@ def test_envelope_estimate_matches_density_peak():
     osc = qt.oscillator_2d()
     env = estimate_envelope(osc, default_domain(osc), 0.0, 1.5)
     assert env == pytest.approx(1.5 * math.exp(-1.0) / math.pi, rel=1e-5)
+
+
+def _whole_grid_envelope(system, domain, t, margin):
+    n = {1: 8192, 2: 512, 3: 96}[system.dim]
+    axes = [np.linspace(lo, hi, n) for lo, hi in domain]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return float(system.rho(pts, t).max()) * margin
+
+
+@pytest.mark.parametrize("system", [
+    qt.hydrogen(), qt.hydrogen(3, 2, -1), qt.hydrogen(4, 3, -2),
+    qt.oscillator_2d(), qt.double_slit(),
+], ids=["h211", "h32-1", "h43-2", "osc", "slit"])
+def test_envelope_scan_in_slabs_matches_whole_grid(system):
+    dom = default_domain(system)
+    assert estimate_envelope(system, dom, 0.0, 1.5) == _whole_grid_envelope(system, dom, 0.0, 1.5)
+
+
+def test_envelope_scan_propagates_nan():
+    class NanInLastSlab:
+        dim = 2
+
+        def rho(self, x, t):
+            out = np.ones(x.shape[:-1])
+            out[(x[..., 0] == 1.0) & (x[..., 1] == 0.0)] = np.nan
+            return out
+
+    assert math.isnan(estimate_envelope(NanInLastSlab(), ((0.0, 1.0), (0.0, 1.0)), 0.0, 1.5))
+
+
+def test_envelope_scan_stays_in_bounded_memory():
+    # the 96^3 hydrogen grid took ~85 MB as one array
+    hyd = qt.hydrogen()
+    dom = default_domain(hyd)
+    assert _peak_bytes(lambda: estimate_envelope(hyd, dom, 0.0, 1.5)) < 8e6
+
+
+def test_hydrogen_rejection_draw_bits_are_pinned():
+    # the proposal batch grows past sampling._BLOCK candidates, so the
+    # density is evaluated across block edges; digest of the whole-array draw
+    pts = qt.sample_positions(qt.hydrogen(), qt.SamplerConfig(n=2000, seed=0))
+    assert _sha256(pts) == "ac1f0d929745479e66c4da4391556411054ffbf25003512feefa46a5a793d5a4"
 
 
 def test_guarded_rejection_starts_share_one_envelope_scan(monkeypatch):
@@ -357,6 +451,12 @@ def test_node_retry_rejection_resamples():
     {"envelope_margin": 0.5},
     {"mode": "fixed"},
     {"seed": True},
+    {"envelope_margin": True},
+    {"envelope_margin": math.nan},
+    {"envelope_margin": math.inf},
+    {"envelope_margin": "2"},
+    {"envelope": -1.0},
+    {"envelope": True},
 ])
 def test_sampler_config_validation(kwargs):
     with pytest.raises(qt.InvalidParameterError):
