@@ -29,3 +29,9 @@ def njit(fn):
     if NUMBA_ENABLED:
         return _numba_njit(cache=True, nogil=True)(fn)
     return fn
+
+
+def _array(fn):
+    """A kernel function for numpy arrays: its Python source even when numba
+    compiles it for floats."""
+    return getattr(fn, "py_func", fn)

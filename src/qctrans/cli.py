@@ -135,7 +135,7 @@ def _cmd_sample(args) -> int:
     pos, vel = sample_initial_conditions(
         sc.system, sc.ensemble, t_start=sc.time.start, stencil=sc.numerics
     )
-    coords = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}[sc.system.dim]
+    coords = exp._COORDS[sc.system.dim]
     lines = ["index," + ",".join(coords) + "," + ",".join(f"v{c}" for c in coords)]
     for i in range(pos.shape[0]):
         cells = [str(i)]

@@ -5,16 +5,11 @@ classical; its complement P(t) = 1 - lambda(t) scales the quantum force.
 P = 1 is the pure guidance limit, P = 0 the classical limit.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import kernels
 from .errors import InvalidParameterError
-
-
-def _require_finite(name, value):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+from .systems import _finite
 
 
 @dataclass(frozen=True)
@@ -25,8 +20,8 @@ class Logistic:
     t0: float
 
     def __post_init__(self):
-        _require_finite("b", self.b)
-        _require_finite("t0", self.t0)
+        _finite("b", self.b)
+        _finite("t0", self.t0)
 
     _kind = kernels.LOGISTIC
 
@@ -42,8 +37,8 @@ class GaussianCDF:
     sigma: float
 
     def __post_init__(self):
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
+        _finite("mu", self.mu)
+        _finite("sigma", self.sigma)
         if self.sigma <= 0:
             raise InvalidParameterError(f"sigma must be > 0, got {self.sigma}")
 
@@ -60,7 +55,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        _require_finite("value", self.value)
+        _finite("value", self.value)
         if not 0.0 <= self.value <= 1.0:
             raise InvalidParameterError(f"constant P must lie in [0, 1], got {self.value}")
 
@@ -75,7 +70,7 @@ CouplingSchedule = Logistic | GaussianCDF | Constant
 
 def eval_P(schedule, t) -> float:
     """Quantum weight P(t) = 1 - lambda(t)."""
-    _require_finite("t", t)
+    _finite("t", t)
     c0, c1 = schedule._packed()
     return kernels.coupling_p(schedule._kind, c0, c1, float(t))
 

@@ -173,52 +173,37 @@ def compute_field(system: WaveField, cfg) -> FieldGrid:
     gx, gy = np.meshgrid(xs, ys)
     if system.dim == 1:
         # the y axis is time: every row is evaluated at its own t
-        pts, t, note = gx[..., None], gy, ""
+        pts, t, note, labels = gx[..., None], gy, "", ("x", "t")
     elif system.dim == 2:
         pts = np.stack([gx, gy], axis=-1)
-        t, note = cfg.t, f"t={cfg.t:.10g}"
-        x3, y3, z3 = gx, gy, None
+        t, note, labels = cfg.t, f"t={cfg.t:.10g}", ("x", "y")
     else:
-        axes = {"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane]
-        off = np.full_like(gx, cfg.offset)
-        table = {"x": None, "y": None, "z": None}
-        table[axes[0]] = gx
-        table[axes[1]] = gy
-        rest = next(k for k, v in table.items() if v is None)
-        table[rest] = off
+        labels = {"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane]
+        rest = next(c for c in "xyz" if c not in labels)
+        table = {labels[0]: gx, labels[1]: gy, rest: np.full_like(gx, cfg.offset)}
         x3, y3, z3 = table["x"], table["y"], table["z"]
         pts = np.stack([x3, y3, z3], axis=-1)
         t, note = cfg.t, f"plane={cfg.plane} {rest}={cfg.offset:.10g} t={cfg.t:.10g}"
     rho = system.rho(pts, t)
     if cfg.quantity == "rho":
-        return FieldGrid("rho", *_plane_labels(system, cfg), xs, ys, rho, note)
-    if cfg.quantity == "S":
-        s = np.angle(system.psi(pts, t))
-        s = np.where(rho >= _FIELD_STENCIL.min_rho, s, np.nan)
-        return FieldGrid("S", *_plane_labels(system, cfg), xs, ys, s, note)
-    if system.dim == 1:
-        vals, ok = _qpot(system, pts, t, _FIELD_STENCIL)
-        return FieldGrid("Q", *_plane_labels(system, cfg), xs, ys, np.where(ok, vals, np.nan), note)
-    vals = np.full(gx.shape, np.nan)
-    if system.kind == "oscillator_2d":
-        p = system.params
-        c = math.cos(p.alpha)
-        g = gx * gx + 2.0 * c * gx * gy + gy * gy
-        good = (g >= 1e-250) & (rho >= _FIELD_STENCIL.min_rho)
-        vals[good] = oscillator_qpot_closed(p, gx[good], gy[good])
+        vals = rho
+    elif cfg.quantity == "S":
+        vals = np.where(rho >= _FIELD_STENCIL.min_rho, np.angle(system.psi(pts, t)), np.nan)
+    elif system.dim == 1:
+        q, ok = _qpot(system, pts, t, _FIELD_STENCIL)
+        vals = np.where(ok, q, np.nan)
     else:
+        vals = np.full(gx.shape, np.nan)
         p = system.params
-        good = ~_hydrogen_singular_mask(p, x3, y3, z3) & (rho >= _FIELD_STENCIL.min_rho)
-        vals[good] = hydrogen_qpot_closed(p, x3[good], y3[good], z3[good])
-    return FieldGrid("Q", *_plane_labels(system, cfg), xs, ys, vals, note)
-
-
-def _plane_labels(system, cfg):
-    if system.dim == 1:
-        return "x", "t"
-    if system.dim == 2:
-        return "x", "y"
-    return tuple({"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane])
+        if system.kind == "oscillator_2d":
+            c = math.cos(p.alpha)
+            g = gx * gx + 2.0 * c * gx * gy + gy * gy
+            good = (g >= 1e-250) & (rho >= _FIELD_STENCIL.min_rho)
+            vals[good] = oscillator_qpot_closed(p, gx[good], gy[good])
+        else:
+            good = ~_hydrogen_singular_mask(p, x3, y3, z3) & (rho >= _FIELD_STENCIL.min_rho)
+            vals[good] = hydrogen_qpot_closed(p, x3[good], y3[good], z3[good])
+    return FieldGrid(cfg.quantity, *labels, xs, ys, vals, note)
 
 
 def _check_grid(grid: FieldGrid) -> None:

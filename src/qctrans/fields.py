@@ -19,8 +19,9 @@ The stencil contract:
 The array right-hand side of the ensemble engine (``_batch_rhs``) lives
 here too, next to the stencil it calls on the stencil routes; on the
 oscillator and hydrogen closed routes it calls the closed forms of
-:mod:`qctrans.kernels` on arrays.  ``force`` is that right-hand side at one
-point.
+:mod:`qctrans.kernels` on arrays, and its node guard (``_dense_enough``)
+the kernel's oscillator density and hydrogen recurrences.  ``force`` is
+that right-hand side at one point.
 """
 
 import math
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._jit import _array
 from .errors import InvalidParameterError, NodeProximityError
-from .systems import WaveField, hydrogen_rho, oscillator_rho_closed
+from .systems import WaveField, hydrogen_rho
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class StencilConfig:
             raise InvalidParameterError(f"stencil h must be > 0, got {self.h!r}")
         if not isinstance(self.richardson, bool):
             raise InvalidParameterError(f"richardson must be a bool, got {self.richardson!r}")
-        if not (_real(self.min_rho) and self.min_rho >= 0):
+        if not (_real(self.min_rho) and math.isfinite(self.min_rho) and self.min_rho >= 0):
             raise InvalidParameterError(f"min_rho must be >= 0, got {self.min_rho!r}")
 
 
@@ -267,21 +269,18 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
 # ---------------------------------------------------------------------------
 
 def _dense_enough(system, x, t, st):
-    """The node guard rho >= min_rho of the kernel's ``density``; the
-    stationary states' |psi|^2 in real arithmetic (the guard only compares)."""
+    """The node guard rho >= min_rho of the kernel's ``density``, on arrays:
+    the oscillator's density form of :mod:`qctrans.kernels` with np.exp,
+    hydrogen's real amplitude squared (``systems.hydrogen_rho``, the same
+    recurrences)."""
     if system.kind == "oscillator_2d":
-        rho = oscillator_rho_closed(system.params, x[:, 0], x[:, 1])
+        _, alpha, w = system._par.tolist()
+        rho = _array(kernels._oscillator_density)(w, alpha, x[:, 0], x[:, 1], np.exp)
     elif system.kind == "hydrogen":
         rho = hydrogen_rho(system._par, x[:, 0], x[:, 1], x[:, 2])
     else:
         rho = system.rho(x, t)
     return (rho >= st.min_rho) & np.isfinite(rho)
-
-
-def _array(form):
-    """A closed form of :mod:`qctrans.kernels` for arrays: its Python source
-    even when numba compiles it for the scalar kernel."""
-    return getattr(form, "py_func", form)
 
 
 def _batch_rhs(mode, system, coupling, st, use_closed):

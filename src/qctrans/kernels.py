@@ -8,11 +8,16 @@ route (field queries, ``fields.force``, the oscillator and hydrogen stencils
 behind ``use_closed=False``) runs on the array layer of
 :mod:`qctrans.fields`.  Everything here is compiled with numba (see
 ``_jit``); the same source runs as plain Python when the JIT is disabled.
-The closed forms (guidance velocities, grad Q, the Coulomb grad V) are
-written once, as plain arithmetic: the kernel calls them on floats and the
-array right-hand side of :mod:`qctrans.fields` on arrays, with the same
-bits.  Systems and coupling schedules are passed as integer codes plus
-flat float64 parameter arrays so a single compiled integrator serves every
+The closed forms (guidance velocities, grad Q, the Coulomb grad V), the
+oscillator's density and hydrogen's Laguerre and Legendre recurrences are
+written once, as plain arithmetic: the kernel calls them on floats, and the
+array layer (the engine's right-hand side and node guard in
+:mod:`qctrans.fields`, hydrogen's density in :mod:`qctrans.systems`) on
+arrays.  The closed forms give the same bits either way; a density may
+differ in its last bits, as numpy's exp is not libm's and hydrogen's
+(2r/n)^l is a numpy power on arrays but a repeated product on floats.
+Systems and coupling schedules are passed as integer codes plus flat
+float64 parameter arrays so a single compiled integrator serves every
 configuration:
 
 * double slit   params = (rho0, u, X)              dim 1
@@ -22,7 +27,7 @@ configuration:
 The hydrogen normalisations c_rad = (2/n^2) / sqrt((n-l)...(n+l)) and
 N_lm = sqrt((2l+1) / (4 pi) / ((l-|m|+1)...(l+|m|))) are computed once per
 state by ``systems.WaveField`` and read here by the node guard's
-``density``.
+``density`` (and by the array density of ``systems``).
 
 Positions are always carried as three scalars; unused trailing coordinates
 are zero.  Status codes returned by field kernels: 0 ok, 1 singular/guarded.
@@ -99,6 +104,43 @@ def psi_double_slit(rho0, u, x_off, x, t):
     return (g1 + g2) / cmath.sqrt(rho0 + 1j * t / rho0)
 
 
+# ---------------------------------------------------------------------------
+# the stationary densities, shared with the array layer
+# ---------------------------------------------------------------------------
+#
+# The stationary states drop their modulus-1 phase factors from |psi|^2.
+# The oscillator's density and hydrogen's two recurrences are plain
+# arithmetic, so the same source takes floats (``density`` below) or numpy
+# arrays (``systems.hydrogen_rho`` and the engine's node guard,
+# ``fields._dense_enough``).  A primitive that differs between the two is
+# the caller's: its exp, or the sin(theta) that the Legendre recurrence needs
+# for |m| > 0 (math.sqrt(max(0, ...)) on floats, np.sqrt(np.maximum(0, ...))
+# on arrays).  Under numba a float caller passes the jitted wrappers below.
+
+if NUMBA_ENABLED:
+
+    @njit
+    def _sqrt(a):
+        return math.sqrt(a)
+
+    @njit
+    def _exp(a):
+        return math.exp(a)
+
+else:
+    _sqrt = math.sqrt
+    _exp = math.exp
+
+
+@njit
+def _oscillator_density(w, alpha, x0, x1, exp):
+    """|psi|^2 = (w/pi) w ((x + cos(a) y)^2 + (sin(a) y)^2) e^{-w r^2} of the
+    entangled oscillator state, w = omega, with the caller's ``exp``."""
+    a = x0 + math.cos(alpha) * x1
+    b = math.sin(alpha) * x1
+    return (w / math.pi) * w * (a * a + b * b) * exp(-w * (x0 * x0 + x1 * x1))
+
+
 @njit
 def _genlaguerre(k, a, x):
     """Generalized Laguerre L_k^a(x), k >= 1, by the stable three-term
@@ -113,11 +155,12 @@ def _genlaguerre(k, a, x):
 
 
 @njit
-def _assoc_legendre(l, m, c):
-    """Associated Legendre P_l^m(c) for m >= 0, Condon-Shortley phase."""
+def _assoc_legendre(l, m, c, s):
+    """Associated Legendre P_l^m(c) for m >= 0, Condon-Shortley phase, with
+    s = sin(theta) from the caller (read only for m > 0); the float 1.0 for
+    l = 0."""
     pmm = 1.0
     if m > 0:
-        s = math.sqrt(max(0.0, 1.0 - c * c))
         for i in range(m):
             pmm *= -(2.0 * i + 1.0) * s
     if l == m:
@@ -135,15 +178,9 @@ def _assoc_legendre(l, m, c):
 
 @njit
 def density(sys_id, par, x0, x1, x2, t):
-    """|psi|^2.  The stationary states drop their modulus-1 phase factors:
-    the oscillator is (w/pi) w ((x + cos(a) y)^2 + (sin(a) y)^2) e^{-w r^2},
-    hydrogen the square of its real amplitude R_nl N_lm P_l^|m|, with the
-    normalisations c_rad and N_lm read from ``par``."""
-    if sys_id == OSCILLATOR:
-        w = par[2]
-        a = x0 + math.cos(par[1]) * x1
-        b = math.sin(par[1]) * x1
-        return (w / math.pi) * w * (a * a + b * b) * math.exp(-w * (x0 * x0 + x1 * x1))
+    """|psi|^2: the oscillator's real form, hydrogen the square of its real
+    amplitude R_nl N_lm P_l^|m|, with the normalisations c_rad and N_lm read
+    from ``par``."""
     if sys_id == HYDROGEN:
         n = int(par[0])
         l = int(par[1])
@@ -158,8 +195,12 @@ def density(sys_id, par, x0, x1, x2, t):
         if n - l - 1 > 0:  # L_0 is exactly 1
             rad *= _genlaguerre(n - l - 1, 2 * l + 1, rho)
         cth = x2 / r if r > 0.0 else 1.0
-        amp = rad * (par[4] * _assoc_legendre(l, abs(int(par[2])), cth))
+        ma = abs(int(par[2]))
+        sth = math.sqrt(max(0.0, 1.0 - cth * cth)) if ma else 0.0
+        amp = rad * (par[4] * _assoc_legendre(l, ma, cth, sth))
         return amp * amp
+    if sys_id == OSCILLATOR:
+        return _oscillator_density(par[2], par[1], x0, x1, _exp)
     w = psi_double_slit(par[0], par[1], par[2], x0, t)
     return w.real * w.real + w.imag * w.imag
 
@@ -244,16 +285,6 @@ def grad_quantum_potential(par, x0, t, h, rich, min_rho):
 # by d = q + guarded, which is q wherever q passes the guard and 1 where it
 # does not, so a float call never divides by zero and the guarded values,
 # never used, stay finite.
-
-if NUMBA_ENABLED:
-
-    @njit
-    def _sqrt(a):
-        return math.sqrt(a)
-
-else:
-    _sqrt = math.sqrt
-
 
 @njit
 def oscillator_velocity(alpha, x0, x1):
@@ -356,7 +387,10 @@ def force(sys_id, par, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, out):
         out[1] = -v1
         out[2] = -v2
         return 0
-    rho = density(sys_id, par, x0, x1, x2, t)
+    # the oscillator's form directly: a call through ``density`` costs ~4%
+    # of an oscillator evaluation without numba
+    rho = (_oscillator_density(par[2], par[1], x0, x1, _exp) if sys_id == OSCILLATOR
+           else density(sys_id, par, x0, x1, x2, t))
     if not (rho >= min_rho and math.isfinite(rho)):
         return 1
     if sys_id == OSCILLATOR:
@@ -399,15 +433,17 @@ def rhs(mode, sys_id, par, dim, ckind, c0, c1, y, t, h, rich, min_rho, dy, s3a):
         if sys_id == DOUBLE_SLIT:
             dy[0], st = velocity_grad_s(par, x0, t, h, rich, min_rho)
             return st
-        rho = density(sys_id, par, x0, x1, x2, t)
-        if not (rho >= min_rho and math.isfinite(rho)):
-            return 1
+        # one branch picks both forms; without numba each Python call or
+        # test costs ~1-4% of an evaluation.  dy is written before the guard
+        # is read, which no caller sees: status 1 discards it
         if sys_id == OSCILLATOR:
+            rho = _oscillator_density(par[2], par[1], x0, x1, _exp)
             guarded, dy[0], dy[1] = oscillator_velocity(par[1], x0, x1)
         else:
+            rho = density(sys_id, par, x0, x1, x2, t)
             guarded, dy[0], dy[1] = hydrogen_velocity(par[2], x0, x1)
             dy[2] = 0.0
-        if guarded:
+        if guarded or not (rho >= min_rho and math.isfinite(rho)):
             return 1
         return 0
     st = force(sys_id, par, ckind, c0, c1, x0, x1, x2, t, h, rich, min_rho, s3a)

@@ -23,9 +23,10 @@ import numpy as np
 from .coupling import Constant, GaussianCDF, Logistic
 from .dynamics import IntegratorConfig
 from .errors import ConfigurationError, InvalidParameterError
-from .fields import StencilConfig
+from .fields import StencilConfig, _real
+from .fields import _int as _is_int
 from .sampling import SamplerConfig
-from .systems import WaveField, make_system
+from .systems import WaveField, _finite, make_system
 
 MODES = ("guidance", "transition", "classical")
 QUANTITIES = ("rho", "S", "Q")
@@ -40,7 +41,9 @@ class TimeGrid:
     n_outputs: int = 101
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end) and self.end > self.start):
+        _finite("start", self.start)
+        _finite("end", self.end)
+        if not self.end > self.start:
             raise InvalidParameterError(f"need end > start, got [{self.start}, {self.end}]")
         if not (isinstance(self.n_outputs, int) and self.n_outputs >= 2):
             raise InvalidParameterError(f"n_outputs must be an int >= 2, got {self.n_outputs!r}")
@@ -59,6 +62,20 @@ class FieldGridConfig:
     t: float = 0.0              # evaluation time (2D/3D systems)
     plane: str = "xy"           # 3D systems: which coordinate plane
     offset: float = 0.0         # 3D systems: offset of the remaining axis
+
+    def __post_init__(self):
+        for name, choices in (("quantity", QUANTITIES), ("plane", PLANES)):
+            v = getattr(self, name)
+            if v not in choices:
+                raise InvalidParameterError(f"{name} must be one of {sorted(choices)}, got {v!r}")
+        for name in ("nx", "ny"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 2):
+                raise InvalidParameterError(f"{name} must be an int >= 2, got {v!r}")
+        _limits("xlim", self.xlim)
+        _limits("ylim", self.ylim)
+        _finite("t", self.t)
+        _finite("offset", self.offset)
 
 
 @dataclass(frozen=True)
@@ -163,12 +180,19 @@ def _bool(d, key, path, default=None):
     return v
 
 
-def _pair(v, path):
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in v)
-            or not all(math.isfinite(e) for e in v) or not v[0] < v[1]):
-        raise ConfigurationError(f"expected [lo, hi] with lo < hi, got {v!r}", path=path)
+def _limits(name, v):
+    """(lo, hi) as floats: two finite numbers with lo < hi."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(_real(e) and math.isfinite(e) for e in v) and v[0] < v[1]):
+        raise InvalidParameterError(f"{name} must be [lo, hi] with lo < hi, got {v!r}")
     return (float(v[0]), float(v[1]))
+
+
+def _pair(v, path):
+    try:
+        return _limits(path, v)
+    except InvalidParameterError as e:
+        raise ConfigurationError(f"expected [lo, hi] with lo < hi, got {v!r}", path=path) from e
 
 
 def _build_system(doc) -> WaveField:
@@ -375,13 +399,17 @@ def _build_field(d, system) -> FieldGridConfig:
     ny = _int(d, "ny", "output.field", default=base.ny)
     if nx < 2 or ny < 2:
         raise ConfigurationError("grid must be at least 2x2", path="output.field.nx")
-    return FieldGridConfig(
-        quantity=_str(d, "quantity", "output.field", default=base.quantity, choices=QUANTITIES),
-        xlim=xlim, ylim=ylim, nx=nx, ny=ny,
-        t=_num(d, "t", "output.field", default=base.t),
-        plane=_str(d, "plane", "output.field", default=base.plane, choices=PLANES),
-        offset=_num(d, "offset", "output.field", default=base.offset),
-    )
+    try:
+        return FieldGridConfig(
+            quantity=_str(d, "quantity", "output.field", default=base.quantity,
+                          choices=QUANTITIES),
+            xlim=xlim, ylim=ylim, nx=nx, ny=ny,
+            t=_num(d, "t", "output.field", default=base.t),
+            plane=_str(d, "plane", "output.field", default=base.plane, choices=PLANES),
+            offset=_num(d, "offset", "output.field", default=base.offset),
+        )
+    except InvalidParameterError as e:
+        raise ConfigurationError(str(e), path="output.field") from e
 
 
 def default_field_grid(system: WaveField) -> FieldGridConfig:

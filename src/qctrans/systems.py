@@ -19,14 +19,15 @@ one-dimensional stencil, so the two stencils cross-check each other.
 of hydrogen squares the real amplitude R_nl N_lm P_l^|m| instead of
 |psi|^2: the phase factors have modulus 1, and real arithmetic is several
 times cheaper for the samplers, the KS tables and the ensemble node guard.
+Its Laguerre and Legendre recurrences are the scalar kernel's own
+(:mod:`qctrans.kernels`), called on arrays.
 
 The closed forms here are not the ones the integrator runs (those are in
 :mod:`qctrans.kernels`).  They stay in their published shape on purpose,
 even where a shorter algebraic form exists, so they are an independent
-route: the double slit's density and phase and the oscillator and hydrogen
-velocities and Q are the tests' oracles, Q also draws the field maps of
-``export.compute_field``, and the oscillator density is the ensemble
-engine's node guard.
+route: the double slit's density and phase and the oscillator density,
+velocities and Q and hydrogen's velocities and Q are the tests' oracles,
+and Q also draws the field maps of ``export.compute_field``.
 """
 
 import inspect
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._jit import _array
 from .errors import InvalidParameterError, SingularityError
 
 
@@ -210,6 +212,12 @@ def make_system(kind: str, **params) -> WaveField:
     return maker(**params)
 
 
+def _raise_where(singular, message):
+    """SingularityError with the indices of the singular points, if any."""
+    if np.any(singular):
+        raise SingularityError(message, point=np.argwhere(np.atleast_1d(singular)))
+
+
 # ---------------------------------------------------------------------------
 # double slit
 # ---------------------------------------------------------------------------
@@ -297,9 +305,7 @@ def oscillator_velocity_closed(p: Oscillator2DParams, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g = x * x + 2.0 * math.cos(p.alpha) * x * y + y * y
-    if np.any(g < 1e-280):
-        bad = np.argwhere(np.atleast_1d(g) < 1e-280)
-        raise SingularityError("velocity singular on the nodal set", point=bad)
+    _raise_where(g < 1e-280, "velocity singular on the nodal set")
     sa = math.sin(p.alpha)
     return np.stack([-sa * y / g, sa * x / g], axis=-1)
 
@@ -312,9 +318,7 @@ def oscillator_qpot_closed(p: Oscillator2DParams, x, y):
     c = math.cos(p.alpha)
     r2 = x * x + y * y
     g = x * x + 2.0 * c * x * y + y * y
-    if np.any(g < 1e-280):
-        bad = np.argwhere(np.atleast_1d(g) < 1e-280)
-        raise SingularityError("quantum potential singular on the nodal set", point=bad)
+    _raise_where(g < 1e-280, "quantum potential singular on the nodal set")
     t1 = w * w * r2 * r2 - 4.0 * w * r2 + 1.0
     t2 = w * r2 - 4.0
     t3 = x * x * (-4.0 * w * w * y * y * r2 + 16.0 * w * y * y + 1.0) + y * y
@@ -338,6 +342,11 @@ def _hydrogen_norms(n, l, ma):
     return (2.0 / n**2) / math.sqrt(fr), math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
 
 
+# the recurrences of the kernel's density, for arrays
+_genlaguerre = _array(kernels._genlaguerre)
+_assoc_legendre = _array(kernels._assoc_legendre)
+
+
 def _hydrogen_real(par, x, y, z):
     """(R_nl(r), N_lm P_l^|m|(cos theta)): the real factors of the eigenstate.
     ``par`` is the kernel's (n, l, m, c_rad, N_lm), see ``WaveField._par``."""
@@ -346,12 +355,13 @@ def _hydrogen_real(par, x, y, z):
     rho = 2.0 * r / n
     rad = par[3] * rho**l * np.exp(-0.5 * rho)
     if n - l - 1 > 0:  # L_0 is exactly 1
-        rad = rad * _genlaguerre_np(n - l - 1, 2 * l + 1, rho)
+        rad = rad * _genlaguerre(n - l - 1, 2 * l + 1, rho)
     if (r > 0).all():
         cth = z / r
     else:
         cth = np.divide(z, r, out=np.ones_like(r), where=r > 0)
-    return rad, par[4] * _assoc_legendre_np(l, ma, cth)
+    sth = np.sqrt(np.maximum(0.0, 1.0 - cth * cth)) if ma > 0 else 0.0
+    return rad, par[4] * _assoc_legendre(l, ma, cth, sth)
 
 
 def hydrogen_psi(p: HydrogenParams, par, x, y, z, t):
@@ -379,34 +389,6 @@ def hydrogen_rho(par, x, y, z):
     return a * a
 
 
-def _genlaguerre_np(k, a, x):
-    """L_k^a(x) for k >= 1 by the three-term recurrence."""
-    prev = 1.0
-    cur = 1.0 + a - x
-    for i in range(1, k):
-        prev, cur = cur, ((2.0 * i + 1.0 + a - x) * cur - (i + a) * prev) / (i + 1.0)
-    return cur
-
-
-def _assoc_legendre_np(l, m, c):
-    """P_l^m(c) for m >= 0, Condon-Shortley phase; the float 1.0 for l = 0."""
-    pmm = 1.0
-    if m > 0:
-        s = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-        for i in range(m):
-            pmm = pmm * (-(2.0 * i + 1.0) * s)
-    if l == m:
-        return pmm
-    pm1 = c * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pm1
-    pll = pm1
-    for ll in range(m + 2, l + 1):
-        pll = ((2.0 * ll - 1.0) * c * pm1 - (ll + m - 1.0) * pmm) / (ll - m)
-        pmm, pm1 = pm1, pll
-    return pll
-
-
 def _hydrogen_singular_mask(p: HydrogenParams, x, y, z):
     r2 = x * x + y * y + z * z
     bad = r2 < 1e-280
@@ -424,9 +406,7 @@ def hydrogen_velocity_closed(p: HydrogenParams, x, y, z):
         zero = np.zeros_like(x)
         return np.stack([zero, zero, zero], axis=-1)
     s2 = x * x + y * y
-    if np.any(s2 < 1e-280):
-        bad = np.argwhere(np.atleast_1d(s2) < 1e-280)
-        raise SingularityError("velocity singular on the z-axis", point=bad)
+    _raise_where(s2 < 1e-280, "velocity singular on the z-axis")
     return np.stack([-p.m * y / s2, p.m * x / s2, np.zeros_like(x)], axis=-1)
 
 
@@ -435,9 +415,7 @@ def hydrogen_qpot_closed(p: HydrogenParams, x, y, z):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.any(_hydrogen_singular_mask(p, x, y, z)):
-        bad = np.argwhere(np.atleast_1d(_hydrogen_singular_mask(p, x, y, z)))
-        raise SingularityError("quantum potential singular at r=0 / z-axis", point=bad)
+    _raise_where(_hydrogen_singular_mask(p, x, y, z), "quantum potential singular at r=0 / z-axis")
     r = np.sqrt(x * x + y * y + z * z)
     q = p.energy + 1.0 / r
     if p.m != 0:

@@ -122,7 +122,7 @@ def test_stencil_validation():
     # a bool is an int to isinstance, and any truthy value would switch
     # Richardson on
     for kwargs in ({"h": 0.0}, {"min_rho": -1.0}, {"h": True}, {"min_rho": True},
-                   {"richardson": "no"}, {"richardson": 1}):
+                   {"richardson": "no"}, {"richardson": 1}, {"min_rho": math.inf}):
         with pytest.raises(qt.InvalidParameterError):
             qt.StencilConfig(**kwargs)
 

@@ -95,10 +95,35 @@ def _config_error(doc):
     (dict(MINIMAL, bogus=1), "$.bogus"),
     ({"system": {"type": "oscillator_2d"}, "mode": "guidance",
       "ensemble": {"mode": "quantile_1d"}}, "ensemble.mode"),
+    (dict(MINIMAL, time={"start": True}), "time.start"),
+    (dict(MINIMAL, time={"start": "0"}), "time.start"),
+    (dict(MINIMAL, output={"field": {"quantity": "rho2"}}), "output.field.quantity"),
+    (dict(MINIMAL, output={"field": {"nx": 1}}), "output.field.nx"),
+    (dict(MINIMAL, output={"field": {"plane": "ab"}}), "output.field.plane"),
+    (dict(MINIMAL, output={"field": {"xlim": [8, -8]}}), "output.field.xlim"),
+    (dict(MINIMAL, output={"field": {"t": "nan"}}), "output.field.t"),
 ])
 def test_validation_error_paths(doc, needle):
     err = _config_error(doc)
     assert needle in str(err)
+
+
+# the public config dataclasses reject what the documents above reject
+@pytest.mark.parametrize("make", [
+    lambda: qt.FieldGridConfig(quantity="rho2"),
+    lambda: qt.FieldGridConfig(nx=1),
+    lambda: qt.FieldGridConfig(ny=True),
+    lambda: qt.FieldGridConfig(plane="ab"),
+    lambda: qt.FieldGridConfig(xlim=(8.0, -8.0)),
+    lambda: qt.FieldGridConfig(ylim=(0.0, math.inf)),
+    lambda: qt.FieldGridConfig(t=math.nan),
+    lambda: qt.FieldGridConfig(offset=math.inf),
+    lambda: qt.TimeGrid(start=True, end=2.0),
+    lambda: qt.TimeGrid(start="0"),
+])
+def test_config_dataclass_validation(make):
+    with pytest.raises(qt.InvalidParameterError):
+        make()
 
 
 def test_json_error_names_line_and_column():

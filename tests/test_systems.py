@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import qctrans as qt
-from qctrans import kernels
+from qctrans import fields, kernels
 from qctrans import systems as qs
+from qctrans._jit import _array
 
 RNG = np.random.default_rng(42)
 
@@ -317,6 +318,61 @@ def test_hydrogen_density_bits_are_pinned(nlm):
     scalar = [kernels.density(kernels.HYDROGEN, par, *p, 0.0) for p in _DENSITY_POINTS.tolist()]
     assert (_digest(scalar), _digest(hyd.rho(_DENSITY_POINTS, 0.0))) == \
         _HYDROGEN_DENSITY_DIGESTS[nlm]
+
+
+# the same for the oscillator, per (k0, alpha): (scalar kernels.density,
+# the array node guard's density, i.e. kernels._oscillator_density with
+# np.exp).  The scalar digests are those of the density the kernel wrote
+# out inline before the form was shared.
+_OSCILLATOR_DENSITY_DIGESTS = {
+    (1.0, math.pi / 2): ("9b09f8532102efcb", "004f0a9327316572"),
+    (2.3, 0.4): ("fa0568cf76b3e920", "1570fb1db2f36963"),
+    (0.5, -2.0): ("ba0e859b8b36cbe6", "8c1e67f570340ca8"),
+    (1.0, 0.0): ("0635975d866992fb", "9f193a602cd03320"),
+}
+
+
+def _guard_density(system):
+    """The density that the ensemble engine's node guard
+    (``fields._dense_enough``) compares with min_rho, at _DENSITY_POINTS."""
+    pts = _DENSITY_POINTS[:, :system.dim]
+    if system.kind == "oscillator_2d":
+        _, alpha, w = system._par.tolist()
+        return _array(kernels._oscillator_density)(w, alpha, pts[:, 0], pts[:, 1], np.exp)
+    return system.rho(pts, 0.0)
+
+
+@pytest.mark.parametrize("k0,alpha", list(_OSCILLATOR_DENSITY_DIGESTS))
+def test_oscillator_density_bits_are_pinned(k0, alpha):
+    osc = qt.oscillator_2d(k0, alpha)
+    par = osc._par.tolist()
+    scalar = [kernels.density(kernels.OSCILLATOR, par, *p, 0.0) for p in _DENSITY_POINTS.tolist()]
+    assert (_digest(scalar), _digest(_guard_density(osc))) == \
+        _OSCILLATOR_DENSITY_DIGESTS[k0, alpha]
+
+
+@pytest.mark.parametrize("kind,params", [
+    *(("oscillator_2d", {"k0": k0, "alpha": alpha}) for k0, alpha in _OSCILLATOR_DENSITY_DIGESTS),
+    *(("hydrogen", dict(zip("nlm", nlm))) for nlm in _HYDROGEN_DENSITY_DIGESTS),
+])
+def test_guard_density_agrees_with_the_kernel_density(kind, params):
+    # two real paths: numpy's exp (and, for hydrogen, pow) against libm's exp
+    # and a repeated product; the largest gap at these points is 7 ulp, for
+    # (4,3,-1), whose l = 3 power differs
+    system = qt.make_system(kind, **params)
+    par = system._par.tolist()
+    rho = _guard_density(system)
+    scalar = np.array([kernels.density(system.sys_id, par, *p, 0.0)
+                       for p in _DENSITY_POINTS.tolist()])
+    ulps = np.abs(rho - scalar) / np.spacing(np.maximum(np.abs(rho), np.abs(scalar)))
+    assert np.where(rho == scalar, 0.0, ulps).max() <= 8.0
+    # and the guard compares exactly these values: at min_rho = rho_i, a
+    # point passes if and only if its density is at least rho_i
+    t = np.zeros(len(rho))
+    for m in np.unique(rho).tolist():
+        ok = fields._dense_enough(system, _DENSITY_POINTS[:, :system.dim], t,
+                                  qt.StencilConfig(min_rho=m))
+        assert (ok == (rho >= m)).all(), m
 
 
 @pytest.mark.parametrize("k0,alpha", [(1.0, math.pi / 2), (2.3, 0.4), (0.5, -2.0), (1.0, 0.0)])
