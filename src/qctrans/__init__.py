@@ -4,10 +4,10 @@ Trajectories follow d2x/dt2 = -grad(V + P(t) Q) where Q is the quantum
 potential of an analytic wave function and P(t) walks from 1 (pure guidance,
 trajectories ride grad S) to 0 (pure Newtonian motion).  Three systems ship:
 a 1D two-packet superposition, a planar harmonic oscillator eigenstate pair,
-and a hydrogen-like eigenstate.  Hot kernels are compiled with numba when
-available; set QCTRANS_NO_NUMBA=1 to force the pure-Python path.  With
-numba, ensembles integrate on a thread pool that QCTRANS_THREADS caps;
-without it they run serially.
+and a hydrogen-like eigenstate.  Ensembles integrate as numpy arrays in one
+batch engine, in every runtime.  The scalar kernel that finishes their last
+rows and runs single trajectories is compiled with numba when available;
+set QCTRANS_NO_NUMBA=1 to force the pure-Python path.
 """
 
 from ._jit import NUMBA_ENABLED

@@ -1,10 +1,13 @@
 """JIT selection layer.
 
 Hot kernels are compiled with numba when it is installed (the optional
-``jit`` extra); without it they run as plain Python.  Setting the environment
-variable ``QCTRANS_NO_NUMBA=1`` (or ``true``/``yes``/``on``) makes ``njit`` a
-no-op so the identical source runs as plain Python/numpy; results are the
-same, only slower.  The flag is read once at import time.
+``jit`` extra); without it they run as plain Python.  Only the scalar
+kernel is compiled: it integrates single trajectories and the last few
+rows of every ensemble, whose bulk runs as numpy arrays in every runtime.
+Setting the environment variable ``QCTRANS_NO_NUMBA=1`` (or
+``true``/``yes``/``on``) makes ``njit`` a no-op so the identical source runs
+as plain Python/numpy; results are the same, only slower.  The flag is read
+once at import time.
 """
 
 import os
@@ -25,9 +28,9 @@ if NUMBA_ENABLED:
 
 
 def njit(fn):
-    """Compile ``fn`` with numba (nogil, cached) or return it unchanged."""
+    """Compile ``fn`` with numba (cached) or return it unchanged."""
     if NUMBA_ENABLED:
-        return _numba_njit(cache=True, nogil=True)(fn)
+        return _numba_njit(cache=True)(fn)
     return fn
 
 

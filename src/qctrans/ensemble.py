@@ -1,14 +1,11 @@
 """Ensemble runs: batched integration, conservation monitors, KS checks.
 
-Initial conditions are drawn once, up front, from a single seeded stream;
-each trajectory then integrates independently and results are stored by
-index.  Without numba the whole ensemble integrates as arrays in the
+Initial conditions are drawn once, up front, from a single seeded stream.
+In every runtime the whole ensemble then integrates as arrays in the
 ensemble engine of :mod:`qctrans.dynamics`, which hands its last few
-trajectories to the scalar kernel; on the closed-form routes (oscillator
-and hydrogen) every trajectory is bitwise identical to a scalar run of it.
-With numba the compiled scalar kernels release the GIL, so they run on a
-thread pool whose size the ``QCTRANS_THREADS`` environment variable caps.
-Output does not depend on the number of workers.
+trajectories to the scalar kernel (compiled when numba is installed); on
+the closed-form routes (oscillator and hydrogen) every trajectory is
+bitwise identical to a scalar run of it.
 
 Per-trajectory monitors track the quantities each system is supposed to
 conserve (or visibly fail to conserve, which in transition runs is the
@@ -22,44 +19,24 @@ measures the departure from the quantum distribution.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from ._jit import NUMBA_ENABLED
 from .coupling import Constant
-from .dynamics import Trajectory, _run_batch, integrate_guidance, integrate_transition
-from .errors import ConfigurationError, InvalidParameterError
+from .dynamics import Trajectory, _run_batch
+from .errors import InvalidParameterError
 from .sampling import GridCDF, marginal_density_1d, sample_initial_conditions
 from .systems import WaveField
 
 
 def worker_count(n_tasks: int) -> int:
-    """min(tasks, cpus, QCTRANS_THREADS) with numba, else 1.
+    """Workers an ensemble of ``n_tasks`` trajectories runs on: always 1,
+    since every ensemble runs in the one batch engine.
 
-    The env var caps the pool and is validated either way.  Without numba
-    the kernels hold the GIL, so threads could never overlap and would only
-    add hand-off cost.
-    """
-    cpu = os.cpu_count() or 1
-    cap = cpu
-    raw = os.environ.get("QCTRANS_THREADS")
-    if raw is not None and raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError as e:
-            raise ConfigurationError(
-                f"QCTRANS_THREADS must be an integer, got {raw!r}", path="QCTRANS_THREADS"
-            ) from e
-        if cap < 1:
-            raise ConfigurationError(
-                f"QCTRANS_THREADS must be >= 1, got {cap}", path="QCTRANS_THREADS"
-            )
-    if not NUMBA_ENABLED:
-        return 1
-    return max(1, min(n_tasks, cpu, cap))
+    It stays because perfbench records it as ``ensemble.workers``."""
+    return 1
 
 
 def ks_distance(samples, cdf) -> float:
@@ -205,34 +182,12 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
         system, scenario.ensemble, t_start=float(t_grid[0]), stencil=scenario.numerics
     )
 
-    def run_one(i: int) -> Trajectory:
-        if mode == "guidance":
-            return integrate_guidance(
-                system, pos[i], t_grid,
-                integrator=scenario.integrator, stencil=scenario.numerics,
-            )
-        return integrate_transition(
-            system, coupling, (pos[i], vel[i]), t_grid,
-            integrator=scenario.integrator, stencil=scenario.numerics,
-        )
-
-    n = pos.shape[0]
-    workers = worker_count(n)
-    if not NUMBA_ENABLED:
-        guided = mode == "guidance"
-        trajectories = _run_batch(
-            kernels.GUIDANCE if guided else kernels.TRANSITION, system,
-            Constant(1.0) if guided else coupling, pos, vel, t_grid,
-            scenario.integrator, scenario.numerics, True,
-        )
-    elif workers > 1:
-        # imported here: concurrent.futures costs every import of the package
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(run_one, range(n)))
-    else:
-        trajectories = [run_one(i) for i in range(n)]
+    guided = mode == "guidance"
+    trajectories = _run_batch(
+        kernels.GUIDANCE if guided else kernels.TRANSITION, system,
+        Constant(1.0) if guided else coupling, pos, vel, t_grid,
+        scenario.integrator, scenario.numerics, True,
+    )
 
     diagnostics = []
     report = {}

@@ -363,13 +363,15 @@ def _build_time(doc, system) -> TimeGrid:
     d = _expect_obj(d, "time")
     _expect_keys(d, {"start", "end", "n_outputs"}, "time")
     try:
-        return TimeGrid(
+        grid = TimeGrid(
             start=_num(d, "start", "time", default=base.start),
             end=_num(d, "end", "time", default=base.end),
             n_outputs=_int(d, "n_outputs", "time", default=base.n_outputs),
         )
+        system._check_t(grid.start)
     except InvalidParameterError as e:
         raise ConfigurationError(str(e), path="time") from e
+    return grid
 
 
 def _build_numerics(doc) -> StencilConfig:
@@ -400,7 +402,7 @@ def _build_field(d, system) -> FieldGridConfig:
     if nx < 2 or ny < 2:
         raise ConfigurationError("grid must be at least 2x2", path="output.field.nx")
     try:
-        return FieldGridConfig(
+        field = FieldGridConfig(
             quantity=_str(d, "quantity", "output.field", default=base.quantity,
                           choices=QUANTITIES),
             xlim=xlim, ylim=ylim, nx=nx, ny=ny,
@@ -410,6 +412,12 @@ def _build_field(d, system) -> FieldGridConfig:
         )
     except InvalidParameterError as e:
         raise ConfigurationError(str(e), path="output.field") from e
+    if system.dim == 1:  # the y axis is time
+        try:
+            system._check_t(ylim)
+        except InvalidParameterError as e:
+            raise ConfigurationError(str(e), path="output.field.ylim") from e
+    return field
 
 
 def default_field_grid(system: WaveField) -> FieldGridConfig:

@@ -113,6 +113,14 @@ def test_set_overrides_reach_validation(capsys):
     assert "logistic b=40 t0=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment", ["time.start=-1", "output.field.ylim=[-1,2]"])
+def test_validate_rejects_double_slit_times_before_zero(assignment, capsys):
+    # simulate, sample and field would fail only when they evaluate the wave
+    assert main(["validate", "--preset", "fig1", "--set", assignment]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "double slit is defined for t >= 0 only" in err
+
+
 # --- simulate artifacts -------------------------------------------------------
 
 def test_simulate_preset_writes_files(tmp_path, capsys):
@@ -268,7 +276,8 @@ def test_field_quantity_rho_has_no_mask(tmp_path, capsys):
 
 def test_import_loads_neither_urllib_nor_concurrent_futures():
     # xml.sax.saxutils would pull in urllib.request, http.client and email;
-    # concurrent.futures serves only the numba thread pool
+    # concurrent.futures serves nothing in the package, so no import may
+    # bring it in
     code = ("import sys, qctrans, qctrans.cli; "
             "print([m for m in ('urllib.request', 'concurrent.futures') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(qt.__file__))

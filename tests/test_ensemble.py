@@ -1,4 +1,4 @@
-"""Ensemble runs: KS metric, worker pool, monitors, truncation reporting."""
+"""Ensemble runs: KS metric, the one engine, monitors, truncation reporting."""
 import math
 from types import SimpleNamespace
 
@@ -76,48 +76,19 @@ def test_stationary_ks_references_are_built_once(monkeypatch):
         assert all(len(vals) == 3 for vals in ks.values())
 
 
-# --- worker pool ------------------------------------------------------------
+# --- one engine ---------------------------------------------------------------
 
 def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setattr("qctrans.ensemble.os.cpu_count", lambda: 8)
-    monkeypatch.delenv("QCTRANS_THREADS", raising=False)
-    monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", True)
-    assert worker_count(4) == 4
-    assert worker_count(100) == 8
-    monkeypatch.setenv("QCTRANS_THREADS", "3")
-    assert worker_count(100) == 3
-    assert worker_count(2) == 2
-    monkeypatch.setenv("QCTRANS_THREADS", "")
-    assert worker_count(100) == 8
-    # without numba the kernels hold the GIL: ensembles run serially
-    monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", False)
-    assert worker_count(100) == 1
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-def test_worker_count_invalid_env(monkeypatch, raw):
-    monkeypatch.setenv("QCTRANS_THREADS", raw)
-    with pytest.raises(qt.ConfigurationError):
-        worker_count(4)
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    # without numba the ensemble runs in the batched engine (its scalar
-    # tail on one thread); with the numba flag forced on, the scalar kernels
-    # run on a real 4-thread pool, so this compares the two engines too
-    monkeypatch.setenv("QCTRANS_THREADS", "1")
-    batched = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
-    monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", True)
-    monkeypatch.setattr("qctrans.ensemble.os.cpu_count", lambda: 4)
-    monkeypatch.setenv("QCTRANS_THREADS", "4")
-    assert worker_count(batched.n) == 4
-    pooled = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
-    assert np.array_equal(batched.positions0, pooled.positions0)
-    for a, b in zip(batched.trajectories, pooled.trajectories):
-        assert a.status == b.status
-        assert a.n_steps == b.n_steps
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.v, b.v)
+    # every ensemble runs in the batch engine on one thread, with or without
+    # numba; QCTRANS_THREADS is no longer read, so any value is ignored
+    for numba in (False, True):
+        monkeypatch.setattr("qctrans.ensemble.NUMBA_ENABLED", numba, raising=False)
+        for raw in (None, "4", "abc", "0"):
+            if raw is None:
+                monkeypatch.delenv("QCTRANS_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("QCTRANS_THREADS", raw)
+            assert [worker_count(n) for n in (1, 2, 8, 100, 10**4)] == [1] * 5
 
 
 # --- conservation monitors ----------------------------------------------------

@@ -102,10 +102,22 @@ def _config_error(doc):
     (dict(MINIMAL, output={"field": {"plane": "ab"}}), "output.field.plane"),
     (dict(MINIMAL, output={"field": {"xlim": [8, -8]}}), "output.field.xlim"),
     (dict(MINIMAL, output={"field": {"t": "nan"}}), "output.field.t"),
+    # the double slit's time domain: its time grid and its field's time axis
+    (dict(MINIMAL, time={"start": -1.0}), "time: double slit is defined for t >= 0"),
+    (dict(MINIMAL, output={"field": {"ylim": [-1, 2]}}),
+     "output.field.ylim: double slit is defined for t >= 0"),
 ])
 def test_validation_error_paths(doc, needle):
     err = _config_error(doc)
     assert needle in str(err)
+
+
+def test_stationary_systems_accept_negative_times():
+    for kind in ("oscillator_2d", "hydrogen"):
+        sc = build_scenario({"system": {"type": kind}, "mode": "guidance",
+                             "time": {"start": -1.0, "end": 1.0},
+                             "output": {"field": {"ylim": [-3, 3]}}})
+        assert sc.time.start == -1.0 and sc.output.field.ylim == (-3.0, 3.0)
 
 
 # the public config dataclasses reject what the documents above reject
