@@ -42,6 +42,14 @@ kernel's own ``coupling_p`` per trajectory, so on those routes every
 trajectory of an ensemble is bitwise identical to a scalar run of it, in
 any ensemble order or subset.  The double slit's batch steps use the array
 stencil, which rounds differently from the kernel's.
+
+The node guard |psi|^2 >= min_rho holds at every stage point, as in the
+kernel, which checks it in each right-hand-side call and stops at the first
+failure.  On the closed routes the ensemble engine evaluates it once per
+step instead, on the stage points of all rows stacked (six per row, four
+with RK4; once more for the starts).  A guarded row's remaining stages are
+computed anyway, and their values discarded when the step halves or stops,
+so no output bit depends on where the guard runs.
 """
 
 import math
@@ -53,7 +61,7 @@ from . import kernels
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .errors import InvalidParameterError
-from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _int, _real
+from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _dense_enough, _int, _real
 from .kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
     _A65, _A71, _A73, _A74, _A75, _A76, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
@@ -174,7 +182,13 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
 
 # active trajectories at which an ensemble goes over to the scalar kernel.
 # Step counts are heavy-tailed (oscillator guidance: median 218, maximum
-# 4696); a model of the measured counts has a flat optimum at 6-10
+# 4696); a model of the measured counts has a flat optimum at 6-10.  With
+# one node-guard call per step, guidance at n = 2000 (CPU s, one CPU,
+# median of 3, every size bitwise equal) took, at 8 / 16 / 32 / 64:
+# oscillator 1.38 / 1.27 / 1.53 / 1.56, hydrogen 0.95 / 1.07 / 1.06 / 1.30.
+# 8 is best for hydrogen and within 8% of the best for the oscillator, and
+# the double slit's rows, whose stencils round differently in the kernel,
+# keep their bytes only at 8
 _HANDOFF = 8
 
 
@@ -230,15 +244,42 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                      t, cfg.dt, 0, 0)
         return _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x)
 
-    rhs = _batch_rhs(mode, system, coupling, st, use_closed)
+    rhs, timed = _batch_rhs(mode, system, coupling, st, use_closed)
     adaptive = cfg.method == "rk45_adaptive"
     t_out = np.append(t, np.inf)  # an output index past the grid emits nothing
     rtol, atol = float(cfg.rtol), float(cfg.atol)
+    oks, needs, pts = [], [], []  # the guards of the stages since the last check
+
+    def stage(ys, c=None):
+        """The right-hand side at the stage points ys and time tt + c dt
+        (tt for c None); their guards wait for ``passed``."""
+        k, ok, need = rhs(ys, (tt if c is None else tt + c * dt) if timed else None)
+        oks.append(ok)
+        if need is not None:
+            needs.append(need)
+            pts.append(ys[need, :dim])
+        return k
+
+    def passed():
+        """The rows that pass every guard of the pending stages: the forms'
+        own and, in one call on all their points, the node guard (only the
+        closed routes defer it, and their densities do not read t)."""
+        ok = np.logical_and.reduce(oks)
+        if pts:
+            dense = _dense_enough(system, np.concatenate(pts), None, st)
+            if not dense.all():
+                rows = np.concatenate([np.arange(len(ok))[need] for need in needs])
+                ok[rows[~dense]] = False
+        oks.clear()
+        needs.clear()
+        pts.clear()
+        return ok
 
     y = x0.copy() if guidance else np.concatenate([x0, np.asarray(v0, dtype=float)], axis=1)
     tt = np.full(n, t_list[0])
     with np.errstate(all="ignore"):
-        f0, ok = rhs(y, tt)
+        f0 = stage(y)
+        ok = passed()
     xs[:, 0] = x0
     vs[:, 0] = np.where(ok[:, None], f0, 0.0) if guidance else y[:, dim:]
     status[~ok] = kernels.SINGULAR_STOP
@@ -287,20 +328,15 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
             ns += 1
             d = dt[:, None]
             if adaptive:
-                k2, ok = rhs(y + d * _A21 * f0, tt + _C2 * dt)
-                k3, ok_k = rhs(y + d * (_A31 * f0 + _A32 * k2), tt + _C3 * dt)
-                ok &= ok_k
-                k4, ok_k = rhs(y + d * (_A41 * f0 + _A42 * k2 + _A43 * k3), tt + _C4 * dt)
-                ok &= ok_k
-                k5, ok_k = rhs(y + d * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-                               tt + _C5 * dt)
-                ok &= ok_k
-                k6, ok_k = rhs(y + d * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                        + _A65 * k5), tt + dt)
-                ok &= ok_k
+                k2 = stage(y + d * _A21 * f0, _C2)
+                k3 = stage(y + d * (_A31 * f0 + _A32 * k2), _C3)
+                k4 = stage(y + d * (_A41 * f0 + _A42 * k2 + _A43 * k3), _C4)
+                k5 = stage(y + d * (_A51 * f0 + _A52 * k2 + _A53 * k3 + _A54 * k4), _C5)
+                k6 = stage(y + d * (_A61 * f0 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                                    + _A65 * k5), 1.0)
                 yn = y + d * (_A71 * f0 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
-                k7, ok_k = rhs(yn, tt + dt)
-                ok &= ok_k
+                k7 = stage(yn, 1.0)
+                ok = passed()
                 fail = ~ok
                 stop = np.zeros(idx.size, dtype=bool)
                 if fail.any():
@@ -320,14 +356,12 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                     dt[reject] *= np.maximum(_factors(errn[reject]), 0.2)
                 accept = ok & ~reject
             else:
-                k2, ok = rhs(y + 0.5 * d * f0, tt + 0.5 * dt)
-                k3, ok_k = rhs(y + 0.5 * d * k2, tt + 0.5 * dt)
-                ok &= ok_k
-                k4, ok_k = rhs(y + d * k3, tt + dt)
-                ok &= ok_k
+                k2 = stage(y + 0.5 * d * f0, 0.5)
+                k3 = stage(y + 0.5 * d * k2, 0.5)
+                k4 = stage(y + d * k3, 1.0)
                 yn = y + d / 6.0 * (f0 + 2.0 * k2 + 2.0 * k3 + k4)
-                k7, ok_k = rhs(yn, tt + dt)
-                ok &= ok_k
+                k7 = stage(yn, 1.0)
+                ok = passed()
                 stop = ~ok
                 accept = ok
             if stop.any():

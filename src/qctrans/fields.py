@@ -19,12 +19,14 @@ The stencil contract:
 The array right-hand side of the ensemble engine (``_batch_rhs``) lives
 here too, next to the stencil it calls on the stencil routes; on the
 oscillator and hydrogen closed routes it calls the closed forms of
-:mod:`qctrans.kernels` on arrays, and its node guard (``_dense_enough``)
-the kernel's oscillator density and hydrogen recurrences.  ``force`` is
-that right-hand side at one point.
+:mod:`qctrans.kernels` on arrays and leaves the node guard
+(``_dense_enough``, the kernel's oscillator density and hydrogen
+recurrences) to its caller, who checks every stage point of a step in one
+call.  ``force`` is that right-hand side at one point, guard included.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +53,14 @@ class StencilConfig:
 
 
 def _real(v):
-    """An int or float; a bool is an int to isinstance, but never a number here."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A real number, numpy's included; a bool is an int to isinstance, but
+    never a number here (np.bool_ is none to :mod:`numbers`)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _int(v):
-    """An int that is not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 DEFAULT_STENCIL = StencilConfig()
@@ -256,11 +259,11 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
     dim = system.dim
     y = np.zeros((1, 2 * dim))
     y[0, :dim] = x
+    rhs, _ = _batch_rhs(kernels.TRANSITION, system, coupling, st, use_closed)
     with np.errstate(all="ignore"):
-        dy, ok = _batch_rhs(kernels.TRANSITION, system, coupling, st, use_closed)(
-            y, np.array([float(t)]))
-    if not ok[0]:
-        _raise_guarded(x, t, st.min_rho)
+        dy, ok, need = rhs(y, np.array([float(t)]))
+        if not (ok[0] and (need is None or _dense_enough(system, x[None], t, st)[0])):
+            _raise_guarded(x, t, st.min_rho)
     return dy[0, dim:]
 
 
@@ -272,7 +275,7 @@ def _dense_enough(system, x, t, st):
     """The node guard rho >= min_rho of the kernel's ``density``, on arrays:
     the oscillator's density form of :mod:`qctrans.kernels` with np.exp,
     hydrogen's real amplitude squared (``systems.hydrogen_rho``, the same
-    recurrences)."""
+    recurrences).  Only the double slit's density reads t."""
     if system.kind == "oscillator_2d":
         _, alpha, w = system._par.tolist()
         rho = _array(kernels._oscillator_density)(w, alpha, x[:, 0], x[:, 1], np.exp)
@@ -284,28 +287,40 @@ def _dense_enough(system, x, t, st):
 
 
 def _batch_rhs(mode, system, coupling, st, use_closed):
-    """rhs(y, t) -> (dy, ok) over an (m, nvar) stack of states with a time
-    for each; ``ok`` is False where the kernel's ``rhs`` returns status 1.
+    """(rhs, reads_t): rhs(y, t) -> (dy, ok, need) over an (m, nvar) stack of
+    states with a time for each, and whether rhs reads t at all (the closed
+    guidance forms are stationary and take t = None).
+
+    ``ok`` and the node guard together are the kernel's ``rhs`` status 0.
+    On the closed routes ``ok`` is the forms' own guard, and ``need``
+    indexes the rows whose position must still pass ``_dense_enough``; the
+    caller checks them, the points of a whole step at once.  The guard
+    feeds no value of dy, so where it is checked moves no bit.  On the
+    stencil routes ``ok`` holds the guard and ``need`` is None, as it is
+    where P(t) leaves no quantum term to guard.
     ``use_closed`` selects the closed forms where the system has them, the
     array stencil otherwise.  The closed forms are the kernel's own, called
     on columns; their guard flag is negated with np.logical_not, because an
-    m = 0 hydrogen form returns the bool False, and ~False is -1."""
+    m = 0 hydrogen form returns the bool False, and ~False is -1 (guidance
+    writes it into a mask over all rows)."""
     dim = system.dim
     par = system._par.tolist()
     closed = use_closed and system.has_closed
     osc = system.kind == "oscillator_2d"
     if mode == kernels.GUIDANCE:
         if not closed:
-            return lambda y, t: _grad_s(system, y, t, st)
+            return (lambda y, t: (*_grad_s(system, y, t, st), None)), True
         form, arg = ((_array(kernels.oscillator_velocity), par[1]) if osc
                      else (_array(kernels.hydrogen_velocity), par[2]))
 
         def guidance(y, t):
             u = np.zeros_like(y)
+            ok = np.empty(len(y), dtype=bool)
             guarded, u[:, 0], u[:, 1] = form(arg, y[:, 0], y[:, 1])
-            return u, np.logical_not(guarded) & _dense_enough(system, y, t, st)
+            np.logical_not(guarded, out=ok)
+            return u, ok, slice(None)
 
-        return guidance
+        return guidance, False
 
     kind = coupling._kind
     c0, c1 = coupling._packed()
@@ -326,12 +341,15 @@ def _batch_rhs(mode, system, coupling, st, use_closed):
         else:
             p = np.array([kernels.coupling_p(kind, c0, c1, s) for s in t.tolist()])
         q = np.flatnonzero(p > kernels._P_FLOOR)
+        need = None
         if q.size:
             if q.size == t.size:
                 q = slice(None)
             xq = x[q]
             if not closed:
+                # the Q probes sit around x, not at it: x's own density here
                 gq, ok_q = _grad_qpot(system, xq, t[q], st)
+                ok_q &= _dense_enough(system, xq, t[q], st)
             elif osc:
                 gq = np.empty_like(xq)
                 guarded, gq[:, 0], gq[:, 1] = _array(kernels.oscillator_grad_qpot)(
@@ -344,7 +362,8 @@ def _batch_rhs(mode, system, coupling, st, use_closed):
                 gq[:, 1] += m1
                 ok_q = np.logical_not(guarded)
             acc[q] = -gv[q] - p[q, None] * gq
-            ok[q] &= ok_q & _dense_enough(system, xq, t[q], st)
-        return np.concatenate([y[:, dim:], acc], axis=1), ok
+            ok[q] &= ok_q
+            need = q if closed else None
+        return np.concatenate([y[:, dim:], acc], axis=1), ok, need
 
-    return transition
+    return transition, True

@@ -339,6 +339,30 @@ def test_integrator_config_validation(make):
         make()
 
 
+def test_configs_take_numpy_numbers_and_refuse_numpy_bools():
+    # np.float64 is a float, but np.int64 is no int: each is a number here,
+    # and a run with them is the run with the Python numbers
+    osc = qt.oscillator_2d()
+    tg = np.linspace(0.0, 1.0, 5)
+    ref = qt.integrate_guidance(osc, [1.0, 0.2], tg, integrator=qt.IntegratorConfig(max_steps=5))
+    for cfg in (qt.IntegratorConfig(max_steps=np.int64(5)),
+                qt.IntegratorConfig(max_steps=np.uint8(5), dt=np.float64(0.01),
+                                    rtol=np.float64(1e-7), atol=np.float64(1e-9))):
+        got = qt.integrate_guidance(osc, [1.0, 0.2], tg, integrator=cfg)
+        assert got.status == ref.status == "step_limit"
+        assert got.n_steps == 5 and np.array_equal(got.x, ref.x)
+    assert qt.StencilConfig(h=np.float32(1e-4), min_rho=np.int64(0)).min_rho == 0
+    assert qt.FieldGridConfig(nx=np.int32(3), ny=np.int64(4)).nx == 3
+    for make, text in ((lambda: qt.IntegratorConfig(max_steps=np.True_), "max_steps must be"),
+                       (lambda: qt.IntegratorConfig(dt=np.True_), "dt must be"),
+                       (lambda: qt.StencilConfig(h=np.True_), "stencil h must be"),
+                       (lambda: qt.FieldGridConfig(nx=np.True_), "nx must be"),
+                       (lambda: qt.IntegratorConfig(max_steps=np.int64(0)), "max_steps must be"),
+                       (lambda: qt.IntegratorConfig(max_steps=np.float64(5.0)), "max_steps must be")):
+        with pytest.raises(qt.InvalidParameterError, match=text):
+            make()
+
+
 def test_time_grid_validation():
     osc = qt.oscillator_2d()
     with pytest.raises(qt.InvalidParameterError):

@@ -67,6 +67,22 @@ def test_gridcdf_rejects_bad_levels():
             g.ppf(lv)
 
 
+def test_sampler_config_takes_numpy_integers():
+    # a count or seed computed with numpy is an np.int64, no int
+    hyd = qt.hydrogen()
+    ref = qt.sample_positions(hyd, qt.SamplerConfig(n=50, seed=3))
+    got = qt.sample_positions(hyd, qt.SamplerConfig(n=np.int64(50), seed=np.int64(3)))
+    assert np.array_equal(got, ref)
+    for bad, text in (({"n": np.True_}, "n must be a positive int"),
+                      ({"seed": np.False_}, "seed must be a non-negative int"),
+                      ({"n": np.int64(0)}, "n must be a positive int"),
+                      ({"seed": np.int32(-1)}, "seed must be a non-negative int"),
+                      ({"envelope_margin": np.True_}, "envelope_margin must be")):
+        with pytest.raises(qt.InvalidParameterError, match=text):
+            qt.SamplerConfig(**bad)
+    assert qt.SamplerConfig(envelope=np.float32(2.0), envelope_margin=np.int64(2)).envelope == 2.0
+
+
 def _counted_normal():
     calls = []
 
