@@ -7,6 +7,12 @@ round-trips exactly (floats serialize via repr).  SVG is emitted directly,
 no plotting dependency: fixed 800x600 viewport, linear axes, one polyline
 per trajectory, heatmaps as rect grids.
 
+The trajectory CSV and JSON are written one trajectory at a time, so memory
+holds one trajectory's text, not the file's.  Each trajectory's CSV rows,
+each polyline's points and each grid row are formatted by one ``%`` on a
+template (``"%.15g" % v`` is ``f"{v:.15g}"`` for every float, and ``%.2f``
+likewise), not one value per call.
+
 Heatmap colors interpolate linearly between five stops; a sign-straddling
 range uses the diverging ramp #313695 #74add1 #f7f7f7 #f46d43 #a50026
 centred on zero, otherwise the sequential ramp #440154 #3b528b #21918c
@@ -41,10 +47,6 @@ JSON_SCHEMA = "qctrans.ensemble/1"
 _COORDS = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 
-def _g(v: float) -> str:
-    return f"{v:.15g}"
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
@@ -53,28 +55,22 @@ def write_trajectories_csv(result: EnsembleResult, path: str) -> None:
     """One row per (trajectory, output time); truncated runs emit fewer rows.
 
     The first line is a ``#`` comment carrying the parameter annotation, so
-    the caption values travel with the data file.
+    the caption values travel with the data file.  A trajectory's rows are
+    one row template applied to the column stack of its t, x, v and
+    monitors, and are written before the next trajectory is formatted.
     """
     system = result.scenario.system
     coords = _COORDS[system.dim]
-    mon_names = None
-    lines = ["# " + result.scenario.annotation()]
-    for i, tr in enumerate(result.trajectories):
-        mons = trajectory_monitors(system, tr)
-        if mon_names is None:
-            mon_names = list(mons)
-            head = ["traj", "status", "t"]
-            head += coords
-            head += [f"v{c}" for c in coords]
-            head += [f"m_{k}" for k in mon_names]
-            lines.append(",".join(head))
-        for j in range(tr.t.shape[0]):
-            row = [str(i), tr.status, _g(tr.t[j])]
-            row += [_g(v) for v in tr.x[j]]
-            row += [_g(v) for v in tr.v[j]]
-            row += [_g(mons[k][j]) for k in mon_names]
-            lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    with _open_for_write(path) as fh:
+        fh.write("# " + result.scenario.annotation() + "\n")
+        for i, tr in enumerate(result.trajectories):
+            mons = trajectory_monitors(system, tr)
+            if i == 0:
+                head = ["traj", "status", "t", *coords, *["v" + c for c in coords]]
+                fh.write(",".join(head + ["m_" + k for k in mons]) + "\n")
+            cols = np.column_stack([tr.t, tr.x, tr.v, *mons.values()])
+            row = f"{i},{tr.status},".replace("%", "%%") + ",".join(["%.15g"] * cols.shape[1])
+            fh.write(((row + "\n") * len(cols)) % tuple(cols.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +79,13 @@ def write_trajectories_csv(result: EnsembleResult, path: str) -> None:
 
 def result_document(result: EnsembleResult) -> dict:
     """JSON-ready dict of the full ensemble result."""
+    doc = _document_head(result)
+    doc["trajectories"] = [_trajectory_entry(i, tr) for i, tr in enumerate(result.trajectories)]
+    return doc
+
+
+def _document_head(result: EnsembleResult) -> dict:
+    """The result document with an empty trajectory list, its last key."""
     sc = result.scenario
     return {
         "schema": JSON_SCHEMA,
@@ -104,25 +107,41 @@ def result_document(result: EnsembleResult) -> dict:
             }
             for d in result.diagnostics
         ],
-        "trajectories": [
-            {
-                "index": i,
-                "status": tr.status,
-                "n_steps": tr.n_steps,
-                "stop_t": tr.stop_t,
-                "t": tr.t.tolist(),
-                "x": tr.x.tolist(),
-                "v": tr.v.tolist(),
-            }
-            for i, tr in enumerate(result.trajectories)
-        ],
+        "trajectories": [],
+    }
+
+
+def _trajectory_entry(i, tr) -> dict:
+    return {
+        "index": i,
+        "status": tr.status,
+        "n_steps": tr.n_steps,
+        "stop_t": tr.stop_t,
+        "t": tr.t.tolist(),
+        "x": tr.x.tolist(),
+        "v": tr.v.tolist(),
     }
 
 
 def write_result_json(result: EnsembleResult, path: str) -> None:
     """Strict JSON: a NaN or an infinity raises instead of writing a token
-    that is not JSON."""
-    _write_text(path, json.dumps(result_document(result), allow_nan=False) + "\n")
+    that is not JSON, before the file is opened.
+
+    The bytes are ``json.dumps(result_document(result))`` and a newline;
+    the trajectories are encoded and written one at a time.
+    """
+    head = json.dumps(_document_head(result), allow_nan=False)
+    trajs = result.trajectories
+    for i, tr in enumerate(trajs):
+        # the error must come before the file exists: json.dumps raises on
+        # the first non-finite float (stop_t is None for a full run)
+        if not all(np.isfinite(a).all() for a in (tr.t, tr.x, tr.v, tr.stop_t or 0.0)):
+            json.dumps(_trajectory_entry(i, tr), allow_nan=False)
+    with _open_for_write(path) as fh:
+        fh.write(head[:-2])  # up to and including the '[' of "trajectories": []
+        for i, tr in enumerate(trajs):
+            fh.write((", " if i else "") + json.dumps(_trajectory_entry(i, tr), allow_nan=False))
+        fh.write("]}\n")
 
 
 def load_result(path: str) -> dict:
@@ -216,11 +235,19 @@ def _check_grid(grid: FieldGrid) -> None:
         )
 
 
+def _row_pieces(cell: str, xs: list) -> list:
+    """One grid row's template, cut at its row slots: ``cell`` holds one
+    ``%`` for the column's x and a NUL for the row's own text, so
+    ``text.join(pieces)`` leaves one ``%`` per cell for the row's values."""
+    return "".join([cell % x for x in xs]).split("\0")
+
+
 def write_field_csv(grid: FieldGrid, path: str, annotation: str = "") -> None:
     """One ``x,y,value`` row per cell, rows of the grid in turn.
 
-    Each coordinate is formatted once; only the value column is formatted
-    per cell.  The file is written one grid row at a time.
+    Each coordinate is formatted once; a row's values are formatted by one
+    ``%`` on the grid's row template.  The file is written one grid row at
+    a time.
     """
     _check_grid(grid)
     head = []
@@ -228,12 +255,11 @@ def write_field_csv(grid: FieldGrid, path: str, annotation: str = "") -> None:
         note = f" | {grid.note}" if grid.note else ""
         head.append(f"# {annotation}{note}\n")
     head.append(f"{grid.xlabel},{grid.ylabel},{grid.quantity}\n")
-    xcols = [_g(x) for x in grid.xs.tolist()]
-    ycols = ["," + _g(y) + "," for y in grid.ys.tolist()]
+    pieces = _row_pieces("%.15g\0%%.15g\n", grid.xs.tolist())
     with _open_for_write(path) as fh:
         fh.write("".join(head))
-        for yc, row in zip(ycols, grid.values.tolist()):
-            fh.write("".join([xc + yc + _g(v) + "\n" for xc, v in zip(xcols, row)]))
+        for y, row in zip(grid.ys.tolist(), grid.values.tolist()):
+            fh.write((",%.15g," % y).join(pieces) % tuple(row))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +346,8 @@ class _Canvas:
                  f'transform="rotate(-90 16 {_MT + _PH / 2})">{_escape(ylabel)}</text>')
 
     def polyline(self, xs, ys, color, width=1.0):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        xy = np.column_stack([self.px(xs), self.py(ys)]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
         )
@@ -432,13 +459,13 @@ def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
     # in that order because y + dy/2 can round differently
     size = (f'" width="{dx / (cv.x1 - cv.x0) * _PW + 0.5:.2f}" '
             f'height="{dy / (cv.y1 - cv.y0) * _PH + 0.5:.2f}" fill="')
-    heads = [f'\n<rect x="{px:.2f}" y="' for px in cv.px(grid.xs - 0.5 * dx).tolist()]
+    pieces = _row_pieces('\n<rect x="%.2f" y="\0%%s"/>', cv.px(grid.xs - 0.5 * dx).tolist())
     mids = [f"{py:.2f}" + size for py in cv.py(grid.ys - 0.5 * dy + dy).tolist()]
     colors = _ramp_colors(stops, vals, vmin, vmax)
     with _open_for_write(path) as fh:
         fh.write("\n".join(cv.parts))
         for mid, row in zip(mids, colors.tolist()):
-            fh.write("".join([h + mid + c + '"/>' for h, c in zip(heads, row)]))
+            fh.write(mid.join(pieces) % tuple(row))
         fh.write("\n</svg>\n")
 
 
