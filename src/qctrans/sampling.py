@@ -331,16 +331,30 @@ def estimate_envelope(system: WaveField, domain, t, margin):
     return float(np.max(_by_rows(row_max, axes[0], rows))) * margin
 
 
+def _fixed_start(system: WaveField, sampler: SamplerConfig):
+    """The fixed mode's positions and velocities (None if not given) as
+    (n, dim) arrays, checked against n and against each other."""
+    pos = np.asarray(sampler.positions, dtype=float).reshape(-1, system.dim)
+    if pos.shape[0] != sampler.n:
+        raise ConfigurationError(
+            f"fixed positions count {pos.shape[0]} != n {sampler.n}",
+            path="ensemble.positions",
+        )
+    vel = sampler.velocities
+    if vel is not None:
+        vel = np.asarray(vel, dtype=float).reshape(-1, system.dim)
+        if vel.shape != pos.shape:
+            raise ConfigurationError(
+                f"velocities shape {vel.shape} != positions shape {pos.shape}",
+                path="ensemble.velocities",
+            )
+    return pos, vel
+
+
 def sample_positions(system: WaveField, sampler: SamplerConfig, t_start=0.0):
     """Draw n start positions distributed as |psi(. , t_start)|^2."""
     if sampler.mode == "fixed":
-        pos = np.asarray(sampler.positions, dtype=float).reshape(-1, system.dim)
-        if pos.shape[0] != sampler.n:
-            raise ConfigurationError(
-                f"fixed positions count {pos.shape[0]} != n {sampler.n}",
-                path="ensemble.positions",
-            )
-        return pos.copy()
+        return _fixed_start(system, sampler)[0].copy()
     if sampler.mode == "quantile_1d":
         if system.dim != 1:
             raise ConfigurationError(
@@ -438,15 +452,10 @@ def sample_initial_conditions(system: WaveField, sampler: SamplerConfig, t_start
         env = estimate_envelope(system, _domain(system, sampler), t_start,
                                 sampler.envelope_margin)
         sampler = replace(sampler, envelope=env)
-    pos = sample_positions(system, sampler, t_start)
     if sampler.mode == "fixed" and sampler.velocities is not None:
-        vel = np.asarray(sampler.velocities, dtype=float).reshape(-1, system.dim)
-        if vel.shape != pos.shape:
-            raise ConfigurationError(
-                f"velocities shape {vel.shape} != positions shape {pos.shape}",
-                path="ensemble.velocities",
-            )
-        return pos, vel.copy()
+        pos, vel = _fixed_start(system, sampler)
+        return pos.copy(), vel.copy()
+    pos = sample_positions(system, sampler, t_start)
     resample = None
     if sampler.mode == "rejection":
         retry_rng = _rng(sampler.seed + 1_000_003)

@@ -10,10 +10,13 @@ Minimal example::
 
     {"system": {"type": "double_slit"}, "mode": "guidance"}
 
-Unspecified sections fall back to per-system defaults (the published figure
-parameters).
+Each section is read into its config dataclass: its keys are the
+dataclass's fields, each read by the field's type, and a key left out takes
+the per-system default (the published figure parameters) or the
+dataclass's own.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -21,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Constant, GaussianCDF, Logistic
-from .dynamics import IntegratorConfig
+from .dynamics import _METHODS, IntegratorConfig
 from .errors import ConfigurationError, InvalidParameterError
 from .fields import StencilConfig, _real
 from .fields import _int as _is_int
-from .sampling import SamplerConfig
-from .systems import WaveField, _finite, make_system
+from .sampling import SamplerConfig, _fixed_start
+from .systems import (DoubleSlitParams, HydrogenParams, Oscillator2DParams, WaveField,
+                      _finite)
 
 MODES = ("guidance", "transition", "classical")
 QUANTITIES = ("rho", "S", "Q")
@@ -72,8 +76,10 @@ class FieldGridConfig:
             v = getattr(self, name)
             if not (_is_int(v) and v >= 2):
                 raise InvalidParameterError(f"{name} must be an int >= 2, got {v!r}")
-        _limits("xlim", self.xlim)
-        _limits("ylim", self.ylim)
+        for name in ("xlim", "ylim"):
+            v = getattr(self, name)
+            if not _is_pair(v):
+                raise InvalidParameterError(f"{name} must be [lo, hi] with lo < hi, got {v!r}")
         _finite("t", self.t)
         _finite("offset", self.offset)
 
@@ -136,131 +142,111 @@ def _expect_obj(v, path):
     return v
 
 
-def _num(d, key, path, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigurationError("required key missing", path=f"{path}.{key}")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigurationError(f"expected a finite number, got {v!r}", path=f"{path}.{key}")
-    return float(v)
+def _is_pair(v):
+    """[lo, hi]: two finite numbers with lo < hi."""
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(_real(e) and math.isfinite(e) for e in v) and v[0] < v[1])
 
 
-def _int(d, key, path, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigurationError("required key missing", path=f"{path}.{key}")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigurationError(f"expected an integer, got {v!r}", path=f"{path}.{key}")
+def _is_num(v):
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
+# a config field's type -> (its JSON test, what a message says was expected, the
+# conversion to the field's value)
+_TYPES = {
+    float: (_is_num, "a finite number", float),
+    float | None: (_is_num, "a finite number", float),
+    int: (lambda v: not isinstance(v, bool) and isinstance(v, int), "an integer", int),
+    str: (lambda v: isinstance(v, str), "a string", str),
+    bool: (lambda v: isinstance(v, bool), "a boolean", bool),
+    tuple: (_is_pair, "[lo, hi] with lo < hi", lambda v: (float(v[0]), float(v[1]))),
+}
+
+_SYSTEMS = {"double_slit": DoubleSlitParams, "oscillator_2d": Oscillator2DParams,
+            "hydrogen": HydrogenParams}
+_COUPLINGS = {"logistic": Logistic, "gaussian_cdf": GaussianCDF, "constant": Constant}
+
+
+def _one_of(choices):
+    return lambda v: v in choices, f"must be one of {sorted(choices)}, got {{!r}}"
+
+
+# checks made as a key is read, so that the message names the key (most of
+# them the configs make too, and would report at the section)
+_CHECKS = {
+    "$.mode": _one_of(MODES),
+    "system.type": _one_of(_SYSTEMS),
+    "coupling.type": _one_of(_COUPLINGS),
+    "coupling.sigma": (lambda v: v > 0, "must be > 0"),
+    "coupling.value": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "ensemble.mode": _one_of(("rejection", "quantile_1d", "fixed")),
+    "integrator.method": _one_of(_METHODS),
+    "output.field.quantity": _one_of(QUANTITIES),
+    "output.field.plane": _one_of(PLANES),
+    "output.field.nx": (lambda v: v >= 2, "grid must be at least 2x2"),
+    "output.field.ny": (lambda v: v >= 2, "grid must be at least 2x2"),
+}
+
+
+def _read(v, path, kind):
+    """The JSON value v at path as a field of type kind."""
+    ok, name, value = _TYPES[kind]
+    if not ok(v):
+        raise ConfigurationError(f"expected {name}, got {v!r}", path=path)
+    v = value(v)
+    check, message = _CHECKS.get(path, (None, None))
+    if check and not check(v):
+        raise ConfigurationError(message.format(v), path=path)
     return v
 
 
-def _str(d, key, path, default=None, required=False, choices=None):
+def _key(d, path, key, kind):
     if key not in d:
-        if required:
-            raise ConfigurationError("required key missing", path=f"{path}.{key}")
-        return default
-    v = d[key]
-    if not isinstance(v, str):
-        raise ConfigurationError(f"expected a string, got {v!r}", path=f"{path}.{key}")
-    if choices is not None and v not in choices:
-        raise ConfigurationError(f"must be one of {sorted(choices)}, got {v!r}", path=f"{path}.{key}")
-    return v
+        raise ConfigurationError("required key missing", path=f"{path}.{key}")
+    return _read(d[key], f"{path}.{key}", kind)
 
 
-def _bool(d, key, path, default=None):
-    if key not in d:
-        return default
-    v = d[key]
-    if not isinstance(v, bool):
-        raise ConfigurationError(f"expected a boolean, got {v!r}", path=f"{path}.{key}")
-    return v
-
-
-def _limits(name, v):
-    """(lo, hi) as floats: two finite numbers with lo < hi."""
-    if not (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(_real(e) and math.isfinite(e) for e in v) and v[0] < v[1]):
-        raise InvalidParameterError(f"{name} must be [lo, hi] with lo < hi, got {v!r}")
-    return (float(v[0]), float(v[1]))
-
-
-def _pair(v, path):
+def _at(path, make, *args, **kw):
+    """make(*args, **kw), a config's InvalidParameterError reported at path."""
     try:
-        return _limits(path, v)
+        return make(*args, **kw)
     except InvalidParameterError as e:
-        raise ConfigurationError(f"expected [lo, hi] with lo < hi, got {v!r}", path=path) from e
+        raise ConfigurationError(str(e), path=path) from e
 
 
-def _build_system(doc) -> WaveField:
-    d = _expect_obj(doc.get("system"), "system") if "system" in doc else None
+def _section(d, path, cls, own=(), **defaults):
+    """The config dataclass cls from the object d at path.
+
+    Its fields are the allowed keys, with ``own``, the keys the caller reads
+    itself.  A field present in d (and not in ``own``) is read by its type;
+    any other takes its value from ``defaults``, then from cls.
+    """
+    d = _expect_obj(d, path)
+    fields = dataclasses.fields(cls)
+    _expect_keys(d, {f.name for f in fields}.union(own), path)
+    kw = dict(defaults)
+    for f in fields:
+        required = f.name not in kw and f.default is dataclasses.MISSING
+        if f.name not in own and (f.name in d or required):
+            kw[f.name] = _key(d, path, f.name, f.type)
+    return _at(path, cls, **kw)
+
+
+def _build_coupling(d, mode):
+    if d is None and mode == "transition":
+        raise ConfigurationError("transition mode requires a coupling section", path="coupling")
     if d is None:
-        raise ConfigurationError("required section missing", path="system")
-    kind = _str(d, "type", "system", required=True,
-                choices=("double_slit", "oscillator_2d", "hydrogen"))
-    if kind == "double_slit":
-        _expect_keys(d, {"type", "rho0", "u", "X"}, "system")
-        kw = {}
-        for key in ("rho0", "u", "X"):
-            v = _num(d, key, "system")
-            if v is not None:
-                kw[key] = v
-    elif kind == "oscillator_2d":
-        _expect_keys(d, {"type", "k0", "alpha"}, "system")
-        kw = {}
-        for key in ("k0", "alpha"):
-            v = _num(d, key, "system")
-            if v is not None:
-                kw[key] = v
+        sched = Constant(0.0)
     else:
-        _expect_keys(d, {"type", "n", "l", "m"}, "system")
-        kw = {}
-        for key in ("n", "l", "m"):
-            v = _int(d, key, "system")
-            if v is not None:
-                kw[key] = v
-    try:
-        return make_system(kind, **kw)
-    except InvalidParameterError as e:
-        raise ConfigurationError(str(e), path="system") from e
-
-
-def _build_coupling(doc, mode):
-    d = doc.get("coupling")
-    if d is None:
-        if mode == "transition":
-            raise ConfigurationError("transition mode requires a coupling section", path="coupling")
-        return Constant(1.0) if mode == "guidance" else Constant(0.0)
-    d = _expect_obj(d, "coupling")
-    ctype = _str(d, "type", "coupling", required=True,
-                 choices=("logistic", "gaussian_cdf", "constant"))
-    if ctype == "logistic":
-        _expect_keys(d, {"type", "b", "t0"}, "coupling")
-        sched = Logistic(_num(d, "b", "coupling", required=True),
-                         _num(d, "t0", "coupling", required=True))
-    elif ctype == "gaussian_cdf":
-        _expect_keys(d, {"type", "mu", "sigma"}, "coupling")
-        sigma = _num(d, "sigma", "coupling", required=True)
-        if sigma <= 0:
-            raise ConfigurationError("must be > 0", path="coupling.sigma")
-        sched = GaussianCDF(_num(d, "mu", "coupling", required=True), sigma)
-    else:
-        _expect_keys(d, {"type", "value"}, "coupling")
-        value = _num(d, "value", "coupling", required=True)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError("must lie in [0, 1]", path="coupling.value")
-        sched = Constant(value)
-    if mode == "classical" and not (isinstance(sched, Constant) and sched.value == 0.0):
+        d = _expect_obj(d, "coupling")
+        sched = _section(d, "coupling", _COUPLINGS[_key(d, "coupling", "type", str)], ("type",))
+    if mode == "classical" and sched != Constant(0.0):
         raise ConfigurationError(
             "classical mode forces constant P=0; omit coupling or set it so",
             path="coupling",
         )
-    if mode == "guidance":
-        return Constant(1.0)
-    return sched
+    return Constant(1.0) if mode == "guidance" else sched
 
 
 _DEFAULT_TIME = {
@@ -277,147 +263,41 @@ _DEFAULT_INTEGRATOR = {
 }
 
 
-def _build_ensemble(doc, system) -> SamplerConfig:
-    d = doc.get("ensemble")
-    if d is None:
-        if system.dim == 1:
-            return SamplerConfig(mode="quantile_1d", n=50)
-        return SamplerConfig(mode="rejection", n=100)
+def _points(raw, key, dim):
+    """Explicit start positions or velocities as a tuple of dim-tuples."""
+    try:
+        a = np.asarray(raw, dtype=float).reshape(-1, dim)
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"bad {key} array: {e}", path=f"ensemble.{key}") from e
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError(f"{key} must be finite", path=f"ensemble.{key}")
+    return tuple(map(tuple, a))
+
+
+def _build_ensemble(d, system) -> SamplerConfig:
     d = _expect_obj(d, "ensemble")
-    _expect_keys(d, {"mode", "n", "seed", "domain", "envelope_margin", "envelope",
-                     "positions", "velocities"}, "ensemble")
-    mode = _str(d, "mode", "ensemble", default="quantile_1d" if system.dim == 1 else "rejection",
-                choices=("rejection", "quantile_1d", "fixed"))
-    if mode == "quantile_1d" and system.dim != 1:
-        raise ConfigurationError("quantile_1d requires a 1D system", path="ensemble.mode")
-    domain = None
+    kw = {"mode": "quantile_1d", "n": 50} if system.dim == 1 else {}
     if "domain" in d:
-        raw = d["domain"]
-        if not isinstance(raw, (list, tuple)):
+        if not isinstance(d["domain"], (list, tuple)):
             raise ConfigurationError("expected a list of [lo, hi] pairs", path="ensemble.domain")
-        domain = tuple(_pair(p, f"ensemble.domain[{i}]") for i, p in enumerate(raw))
+        domain = tuple(_read(p, f"ensemble.domain[{i}]", tuple) for i, p in enumerate(d["domain"]))
         if len(domain) != system.dim:
             raise ConfigurationError(
                 f"domain has {len(domain)} dimensions, system has {system.dim}",
                 path="ensemble.domain",
             )
-    positions = velocities = None
-    n = _int(d, "n", "ensemble", default=None)
-    if "positions" in d:
-        try:
-            positions = np.asarray(d["positions"], dtype=float)
-            positions = positions.reshape(-1, system.dim)
-        except (TypeError, ValueError) as e:
-            raise ConfigurationError(f"bad positions array: {e}", path="ensemble.positions") from e
-        if not np.all(np.isfinite(positions)):
-            raise ConfigurationError("positions must be finite", path="ensemble.positions")
-        if n is None:
-            n = positions.shape[0]
-        positions = tuple(map(tuple, positions))
-    if "velocities" in d:
-        try:
-            velocities = np.asarray(d["velocities"], dtype=float).reshape(-1, system.dim)
-        except (TypeError, ValueError) as e:
-            raise ConfigurationError(f"bad velocities array: {e}", path="ensemble.velocities") from e
-        if not np.all(np.isfinite(velocities)):
-            raise ConfigurationError("velocities must be finite", path="ensemble.velocities")
-        velocities = tuple(map(tuple, velocities))
-    if n is None:
-        n = 50 if system.dim == 1 else 100
-    env = _num(d, "envelope", "ensemble", default=None)
-    try:
-        return SamplerConfig(
-            mode=mode, n=n, seed=_int(d, "seed", "ensemble", default=0),
-            domain=domain, envelope_margin=_num(d, "envelope_margin", "ensemble", default=1.5),
-            envelope=env, positions=positions, velocities=velocities,
-        )
-    except InvalidParameterError as e:
-        raise ConfigurationError(str(e), path="ensemble") from e
-
-
-def _build_integrator(doc, system) -> IntegratorConfig:
-    d = doc.get("integrator")
-    base = _DEFAULT_INTEGRATOR[system.kind]
-    if d is None:
-        return base
-    d = _expect_obj(d, "integrator")
-    _expect_keys(d, {"method", "dt", "rtol", "atol", "max_steps"}, "integrator")
-    try:
-        return IntegratorConfig(
-            method=_str(d, "method", "integrator", default=base.method,
-                        choices=("rk45_adaptive", "rk4_fixed")),
-            dt=_num(d, "dt", "integrator", default=base.dt),
-            rtol=_num(d, "rtol", "integrator", default=base.rtol),
-            atol=_num(d, "atol", "integrator", default=base.atol),
-            max_steps=_int(d, "max_steps", "integrator", default=base.max_steps),
-        )
-    except InvalidParameterError as e:
-        raise ConfigurationError(str(e), path="integrator") from e
-
-
-def _build_time(doc, system) -> TimeGrid:
-    d = doc.get("time")
-    base = _DEFAULT_TIME[system.kind]
-    if d is None:
-        return base
-    d = _expect_obj(d, "time")
-    _expect_keys(d, {"start", "end", "n_outputs"}, "time")
-    try:
-        grid = TimeGrid(
-            start=_num(d, "start", "time", default=base.start),
-            end=_num(d, "end", "time", default=base.end),
-            n_outputs=_int(d, "n_outputs", "time", default=base.n_outputs),
-        )
-        system._check_t(grid.start)
-    except InvalidParameterError as e:
-        raise ConfigurationError(str(e), path="time") from e
-    return grid
-
-
-def _build_numerics(doc) -> StencilConfig:
-    d = doc.get("numerics")
-    if d is None:
-        return StencilConfig()
-    d = _expect_obj(d, "numerics")
-    _expect_keys(d, {"h", "richardson", "min_rho"}, "numerics")
-    try:
-        return StencilConfig(
-            h=_num(d, "h", "numerics", default=1e-4),
-            richardson=_bool(d, "richardson", "numerics", default=True),
-            min_rho=_num(d, "min_rho", "numerics", default=1e-12),
-        )
-    except InvalidParameterError as e:
-        raise ConfigurationError(str(e), path="numerics") from e
-
-
-def _build_field(d, system) -> FieldGridConfig:
-    d = _expect_obj(d, "output.field")
-    _expect_keys(d, {"quantity", "xlim", "ylim", "nx", "ny", "t", "plane", "offset"},
-                 "output.field")
-    base = default_field_grid(system)
-    xlim = _pair(d["xlim"], "output.field.xlim") if "xlim" in d else base.xlim
-    ylim = _pair(d["ylim"], "output.field.ylim") if "ylim" in d else base.ylim
-    nx = _int(d, "nx", "output.field", default=base.nx)
-    ny = _int(d, "ny", "output.field", default=base.ny)
-    if nx < 2 or ny < 2:
-        raise ConfigurationError("grid must be at least 2x2", path="output.field.nx")
-    try:
-        field = FieldGridConfig(
-            quantity=_str(d, "quantity", "output.field", default=base.quantity,
-                          choices=QUANTITIES),
-            xlim=xlim, ylim=ylim, nx=nx, ny=ny,
-            t=_num(d, "t", "output.field", default=base.t),
-            plane=_str(d, "plane", "output.field", default=base.plane, choices=PLANES),
-            offset=_num(d, "offset", "output.field", default=base.offset),
-        )
-    except InvalidParameterError as e:
-        raise ConfigurationError(str(e), path="output.field") from e
-    if system.dim == 1:  # the y axis is time
-        try:
-            system._check_t(ylim)
-        except InvalidParameterError as e:
-            raise ConfigurationError(str(e), path="output.field.ylim") from e
-    return field
+        kw["domain"] = domain
+    for key in ("positions", "velocities"):
+        if key in d:
+            kw[key] = _points(d[key], key, system.dim)
+    if "positions" in kw:
+        kw["n"] = len(kw["positions"])
+    sampler = _section(d, "ensemble", SamplerConfig, ("domain", "positions", "velocities"), **kw)
+    if sampler.mode == "quantile_1d" and system.dim != 1:
+        raise ConfigurationError("quantile_1d requires a 1D system", path="ensemble.mode")
+    if sampler.mode == "fixed":
+        _fixed_start(system, sampler)
+    return sampler
 
 
 def default_field_grid(system: WaveField) -> FieldGridConfig:
@@ -430,47 +310,49 @@ def default_field_grid(system: WaveField) -> FieldGridConfig:
                            nx=201, ny=201, plane="xy")
 
 
-def _build_output(doc, system, name) -> OutputConfig:
-    d = doc.get("output")
-    if d is None:
-        return OutputConfig(basename=name or "run")
+def _build_output(d, system, name) -> OutputConfig:
     d = _expect_obj(d, "output")
-    _expect_keys(d, {"directory", "basename", "formats", "field"}, "output")
-    formats = d.get("formats", ["csv", "svg"])
-    if not isinstance(formats, (list, tuple)) or not formats:
-        raise ConfigurationError("expected a non-empty list", path="output.formats")
-    for f in formats:
-        if f not in FORMATS:
-            raise ConfigurationError(f"must be one of {sorted(FORMATS)}, got {f!r}",
-                                     path="output.formats")
-    field = _build_field(d["field"], system) if "field" in d else None
-    return OutputConfig(
-        directory=_str(d, "directory", "output", default="out"),
-        basename=_str(d, "basename", "output", default=name or "run"),
-        formats=tuple(formats),
-        field=field,
-    )
+    kw = {"basename": name or "run"}
+    if "formats" in d:
+        formats = d["formats"]
+        if not isinstance(formats, (list, tuple)) or not formats:
+            raise ConfigurationError("expected a non-empty list", path="output.formats")
+        for f in formats:
+            if f not in FORMATS:
+                raise ConfigurationError(f"must be one of {sorted(FORMATS)}, got {f!r}",
+                                         path="output.formats")
+        kw["formats"] = tuple(formats)
+    if "field" in d:
+        kw["field"] = _section(d["field"], "output.field", FieldGridConfig,
+                               **vars(default_field_grid(system)))
+        if system.dim == 1:  # the y axis is time
+            _at("output.field.ylim", system._check_t, kw["field"].ylim)
+    return _section(d, "output", OutputConfig, ("formats", "field"), **kw)
 
 
 def build_scenario(doc: dict, name: str = "") -> ScenarioConfig:
     """Validate a raw document and resolve it into a ScenarioConfig."""
     doc = _expect_obj(doc, "$")
-    _expect_keys(doc, {"system", "coupling", "mode", "ensemble", "integrator",
-                       "time", "numerics", "output", "name"}, "$")
+    _expect_keys(doc, {f.name for f in dataclasses.fields(ScenarioConfig)}, "$")
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise ConfigurationError("expected a string", path="$.name")
-    system = _build_system(doc)
-    mode = _str(doc, "mode", "$", required=True, choices=MODES)
-    coupling = _build_coupling(doc, mode)
-    ensemble = _build_ensemble(doc, system)
-    integrator = _build_integrator(doc, system)
-    time = _build_time(doc, system)
-    numerics = _build_numerics(doc)
-    output = _build_output(doc, system, name)
-    return ScenarioConfig(system=system, coupling=coupling, mode=mode, ensemble=ensemble,
-                          integrator=integrator, time=time, numerics=numerics,
-                          output=output, name=name)
+    if "system" not in doc:
+        raise ConfigurationError("required section missing", path="system")
+    d = _expect_obj(doc["system"], "system")
+    kind = _key(d, "system", "type", str)
+    system = WaveField(kind, _section(d, "system", _SYSTEMS[kind], ("type",)))
+    mode = _key(doc, "$", "mode", str)
+    coupling = _build_coupling(doc.get("coupling"), mode)
+    given = {k: {} if v is None else v for k, v in doc.items()}  # null takes the defaults
+    ensemble = _build_ensemble(given.get("ensemble", {}), system)
+    integrator = _section(given.get("integrator", {}), "integrator", IntegratorConfig,
+                          **vars(_DEFAULT_INTEGRATOR[kind]))
+    time = _section(given.get("time", {}), "time", TimeGrid, **vars(_DEFAULT_TIME[kind]))
+    _at("time", system._check_t, time.start)
+    return ScenarioConfig(system, coupling, mode, ensemble, integrator, time,
+                          _section(given.get("numerics", {}), "numerics", StencilConfig),
+                          _build_output(given.get("output", {}), system, name), name)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

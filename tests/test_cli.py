@@ -121,6 +121,18 @@ def test_validate_rejects_double_slit_times_before_zero(assignment, capsys):
     assert "error:" in err and "double slit is defined for t >= 0 only" in err
 
 
+@pytest.mark.parametrize("ensemble,message", [
+    ({"mode": "fixed", "positions": [[1, 0], [0, 2]], "n": 5},
+     "ensemble.positions: fixed positions count 2 != n 5"),
+    ({"mode": "fixed", "positions": [[1, 0], [0, 2]], "velocities": [[1, 0]]},
+     "ensemble.velocities: velocities shape (1, 2) != positions shape (2, 2)"),
+], ids=["count", "velocity_shape"])
+def test_validate_rejects_fixed_starts_that_simulate_rejects(tmp_path, ensemble, message, capsys):
+    doc = {"system": {"type": "oscillator_2d"}, "mode": "guidance", "ensemble": ensemble}
+    assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # --- simulate artifacts -------------------------------------------------------
 
 def test_simulate_preset_writes_files(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Scenario documents: defaults, validation paths, presets, overrides."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -106,10 +107,192 @@ def _config_error(doc):
     (dict(MINIMAL, time={"start": -1.0}), "time: double slit is defined for t >= 0"),
     (dict(MINIMAL, output={"field": {"ylim": [-1, 2]}}),
      "output.field.ylim: double slit is defined for t >= 0"),
+    (dict(MINIMAL, output={"field": {"ny": 1}}), "output.field.ny"),
 ])
 def test_validation_error_paths(doc, needle):
     err = _config_error(doc)
     assert needle in str(err)
+
+
+OSC = {"system": {"type": "oscillator_2d"}, "mode": "guidance"}
+
+
+def _with(**sections):
+    return dict(MINIMAL, **sections)
+
+
+def _trans(coupling):
+    return dict(MINIMAL, mode="transition", coupling=coupling)
+
+
+# One fault per document, each section's unknown key, wrong JSON type, value
+# its config rejects and missing required key, with the full message.
+_BAD_DOCUMENTS = [
+    # the document itself
+    ([], '$: expected an object, got list'),
+    (_with(bogus=1),
+     "$.bogus: unknown key (allowed: ['coupling', 'ensemble', 'integrator', 'mode', "
+     "'name', 'numerics', 'output', 'system', 'time'])"),
+    (_with(name=3), '$.name: expected a string'),
+    ({"system": {"type": "double_slit"}}, '$.mode: required key missing'),
+    (_with(mode=3), '$.mode: expected a string, got 3'),
+    (_with(mode="quantum"),
+     "$.mode: must be one of ['classical', 'guidance', 'transition'], got 'quantum'"),
+    # system
+    ({"mode": "guidance"}, 'system: required section missing'),
+    ({"system": [1], "mode": "guidance"}, 'system: expected an object, got list'),
+    ({"system": {}, "mode": "guidance"}, 'system.type: required key missing'),
+    ({"system": {"type": 5}, "mode": "guidance"}, 'system.type: expected a string, got 5'),
+    ({"system": {"type": "ring"}, "mode": "guidance"},
+     "system.type: must be one of ['double_slit', 'hydrogen', 'oscillator_2d'], got 'ring'"),
+    ({"system": {"type": "double_slit", "k0": 1}, "mode": "guidance"},
+     "system.k0: unknown key (allowed: ['X', 'rho0', 'type', 'u'])"),
+    ({"system": {"type": "double_slit", "rho0": "1"}, "mode": "guidance"},
+     "system.rho0: expected a finite number, got '1'"),
+    ({"system": {"type": "double_slit", "rho0": -1}, "mode": "guidance"},
+     'system: rho0 must be > 0, got -1.0'),
+    ({"system": {"type": "oscillator_2d", "n": 2}, "mode": "guidance"},
+     "system.n: unknown key (allowed: ['alpha', 'k0', 'type'])"),
+    ({"system": {"type": "oscillator_2d", "alpha": True}, "mode": "guidance"},
+     'system.alpha: expected a finite number, got True'),
+    ({"system": {"type": "oscillator_2d", "k0": 0}, "mode": "guidance"},
+     'system: k0 must be > 0, got 0.0'),
+    ({"system": {"type": "hydrogen", "k0": 1}, "mode": "guidance"},
+     "system.k0: unknown key (allowed: ['l', 'm', 'n', 'type'])"),
+    ({"system": {"type": "hydrogen", "n": 2.0}, "mode": "guidance"},
+     'system.n: expected an integer, got 2.0'),
+    ({"system": {"type": "hydrogen", "n": 2, "l": 2}, "mode": "guidance"},
+     'system: l must satisfy 0 <= l < n, got l=2, n=2'),
+    ({"system": {"type": "hydrogen", "m": -2}, "mode": "guidance"},
+     'system: |m| must be <= l, got m=-2, l=1'),
+    # coupling
+    (dict(MINIMAL, mode="transition"), 'coupling: transition mode requires a coupling section'),
+    (_trans("logistic"), 'coupling: expected an object, got str'),
+    (_trans({"b": 1, "t0": 0}), 'coupling.type: required key missing'),
+    (_trans({"type": 1}), 'coupling.type: expected a string, got 1'),
+    (_trans({"type": "ramp"}),
+     "coupling.type: must be one of ['constant', 'gaussian_cdf', 'logistic'], got 'ramp'"),
+    (_trans({"type": "logistic", "b": 1, "t0": 0, "sigma": 1}),
+     "coupling.sigma: unknown key (allowed: ['b', 't0', 'type'])"),
+    (_trans({"type": "logistic", "b": "fast", "t0": 0}),
+     "coupling.b: expected a finite number, got 'fast'"),
+    (_trans({"type": "logistic", "b": math.inf, "t0": 0}),
+     'coupling.b: expected a finite number, got inf'),
+    (_trans({"type": "logistic", "b": 1}), 'coupling.t0: required key missing'),
+    (_trans({"type": "logistic", "t0": 0}), 'coupling.b: required key missing'),
+    (_trans({"type": "gaussian_cdf", "mu": 0, "sigma": -1}), 'coupling.sigma: must be > 0'),
+    (_trans({"type": "gaussian_cdf", "mu": 0}), 'coupling.sigma: required key missing'),
+    (_trans({"type": "gaussian_cdf", "sigma": 1}), 'coupling.mu: required key missing'),
+    (_trans({"type": "gaussian_cdf", "mu": None, "sigma": 1}),
+     'coupling.mu: expected a finite number, got None'),
+    (_trans({"type": "constant", "value": 1.5}), 'coupling.value: must lie in [0, 1]'),
+    (_trans({"type": "constant", "value": "1"}),
+     "coupling.value: expected a finite number, got '1'"),
+    (_trans({"type": "constant"}), 'coupling.value: required key missing'),
+    (_trans({"type": "constant", "value": 1, "b": 2}),
+     "coupling.b: unknown key (allowed: ['type', 'value'])"),
+    (dict(MINIMAL, mode="classical", coupling={"type": "constant", "value": 1.0}),
+     'coupling: classical mode forces constant P=0; omit coupling or set it so'),
+    # ensemble
+    (_with(ensemble=[]), 'ensemble: expected an object, got list'),
+    (_with(ensemble={"count": 5}),
+     "ensemble.count: unknown key (allowed: ['domain', 'envelope', 'envelope_margin', "
+     "'mode', 'n', 'positions', 'seed', 'velocities'])"),
+    (_with(ensemble={"n": "5"}), "ensemble.n: expected an integer, got '5'"),
+    (_with(ensemble={"n": 0}), 'ensemble: n must be a positive int, got 0'),
+    (_with(ensemble={"mode": "grid"}),
+     "ensemble.mode: must be one of ['fixed', 'quantile_1d', 'rejection'], got 'grid'"),
+    (dict(OSC, ensemble={"mode": "quantile_1d"}),
+     'ensemble.mode: quantile_1d requires a 1D system'),
+    (_with(ensemble={"seed": -1}), 'ensemble: seed must be a non-negative int, got -1'),
+    (_with(ensemble={"seed": 1.5}), 'ensemble.seed: expected an integer, got 1.5'),
+    (_with(ensemble={"envelope_margin": 0.5}),
+     'ensemble: envelope_margin must be a finite real >= 1, got 0.5'),
+    (_with(ensemble={"envelope": "x"}), "ensemble.envelope: expected a finite number, got 'x'"),
+    (_with(ensemble={"envelope": -1}),
+     'ensemble: envelope must be None or a finite real > 0, got -1.0'),
+    (_with(ensemble={"domain": 5}), 'ensemble.domain: expected a list of [lo, hi] pairs'),
+    (_with(ensemble={"domain": [[1, 0]]}),
+     'ensemble.domain[0]: expected [lo, hi] with lo < hi, got [1, 0]'),
+    (_with(ensemble={"domain": [[0, 1], [0, 1]]}),
+     'ensemble.domain: domain has 2 dimensions, system has 1'),
+    (_with(ensemble={"mode": "fixed", "positions": "abc"}),
+     "ensemble.positions: bad positions array: could not convert string to float: 'abc'"),
+    (_with(ensemble={"mode": "fixed", "positions": [[math.nan]]}),
+     'ensemble.positions: positions must be finite'),
+    (_with(ensemble={"mode": "fixed", "positions": [[0.0]], "velocities": [["a"]]}),
+     "ensemble.velocities: bad velocities array: could not convert string to float: 'a'"),
+    (_with(ensemble={"mode": "fixed"}), 'ensemble: fixed sampler mode requires positions'),
+    # integrator
+    (_with(integrator=3), 'integrator: expected an object, got int'),
+    (_with(integrator={"order": 4}),
+     "integrator.order: unknown key (allowed: ['atol', 'dt', 'max_steps', 'method', 'rtol'])"),
+    (_with(integrator={"dt": "0.1"}), "integrator.dt: expected a finite number, got '0.1'"),
+    (_with(integrator={"rtol": 0}), 'integrator: rtol must be > 0, got 0.0'),
+    (_with(integrator={"method": "euler"}),
+     "integrator.method: must be one of ['rk45_adaptive', 'rk4_fixed'], got 'euler'"),
+    (_with(integrator={"method": 4}), 'integrator.method: expected a string, got 4'),
+    (_with(integrator={"max_steps": 1.5}), 'integrator.max_steps: expected an integer, got 1.5'),
+    (_with(integrator={"max_steps": 0}), 'integrator: max_steps must be a positive int, got 0'),
+    # time
+    (_with(time="0-2"), 'time: expected an object, got str'),
+    (_with(time={"stop": 1}), "time.stop: unknown key (allowed: ['end', 'n_outputs', 'start'])"),
+    (_with(time={"start": "0"}), "time.start: expected a finite number, got '0'"),
+    (_with(time={"start": True}), 'time.start: expected a finite number, got True'),
+    (_with(time={"start": 2, "end": 1}), 'time: need end > start, got [2.0, 1.0]'),
+    (_with(time={"n_outputs": 1}), 'time: n_outputs must be an int >= 2, got 1'),
+    (_with(time={"n_outputs": 2.0}), 'time.n_outputs: expected an integer, got 2.0'),
+    (_with(time={"start": -1}), 'time: double slit is defined for t >= 0 only'),
+    # numerics
+    (_with(numerics=[]), 'numerics: expected an object, got list'),
+    (_with(numerics={"step": 1e-4}),
+     "numerics.step: unknown key (allowed: ['h', 'min_rho', 'richardson'])"),
+    (_with(numerics={"h": -1e-4}), 'numerics: stencil h must be > 0, got -0.0001'),
+    (_with(numerics={"richardson": 1}), 'numerics.richardson: expected a boolean, got 1'),
+    (_with(numerics={"min_rho": "0"}), "numerics.min_rho: expected a finite number, got '0'"),
+    (_with(numerics={"min_rho": -1}), 'numerics: min_rho must be >= 0, got -1.0'),
+    # output
+    (_with(output="out"), 'output: expected an object, got str'),
+    (_with(output={"dir": "x"}),
+     "output.dir: unknown key (allowed: ['basename', 'directory', 'field', 'formats'])"),
+    (_with(output={"formats": "csv"}), 'output.formats: expected a non-empty list'),
+    (_with(output={"formats": []}), 'output.formats: expected a non-empty list'),
+    (_with(output={"formats": ["png"]}),
+     "output.formats: must be one of ['csv', 'json', 'svg'], got 'png'"),
+    (_with(output={"formats": ["csv", 1]}),
+     "output.formats: must be one of ['csv', 'json', 'svg'], got 1"),
+    (_with(output={"directory": 3}), 'output.directory: expected a string, got 3'),
+    (_with(output={"basename": None}), 'output.basename: expected a string, got None'),
+    # output.field
+    (_with(output={"field": None}), 'output.field: expected an object, got NoneType'),
+    (_with(output={"field": {"n": 3}}),
+     "output.field.n: unknown key (allowed: ['nx', 'ny', 'offset', 'plane', 'quantity', "
+     "'t', 'xlim', 'ylim'])"),
+    (_with(output={"field": {"quantity": "rho2"}}),
+     "output.field.quantity: must be one of ['Q', 'S', 'rho'], got 'rho2'"),
+    (_with(output={"field": {"quantity": 1}}), 'output.field.quantity: expected a string, got 1'),
+    (_with(output={"field": {"nx": 1}}), 'output.field.nx: grid must be at least 2x2'),
+    (_with(output={"field": {"ny": 1}}), 'output.field.ny: grid must be at least 2x2'),
+    (_with(output={"field": {"nx": 2.5}}), 'output.field.nx: expected an integer, got 2.5'),
+    (_with(output={"field": {"xlim": [8, -8]}}),
+     'output.field.xlim: expected [lo, hi] with lo < hi, got [8, -8]'),
+    (_with(output={"field": {"xlim": 8}}),
+     'output.field.xlim: expected [lo, hi] with lo < hi, got 8'),
+    (_with(output={"field": {"ylim": [-1, 2]}}),
+     'output.field.ylim: double slit is defined for t >= 0 only'),
+    (_with(output={"field": {"t": "nan"}}), "output.field.t: expected a finite number, got 'nan'"),
+    (_with(output={"field": {"plane": "ab"}}),
+     "output.field.plane: must be one of ['xy', 'xz', 'yz'], got 'ab'"),
+    (_with(output={"field": {"offset": True}}),
+     'output.field.offset: expected a finite number, got True'),
+]
+
+
+@pytest.mark.parametrize("doc,message", _BAD_DOCUMENTS)
+def test_validation_messages(doc, message):
+    before = repr(doc)
+    assert str(_config_error(doc)) == message
+    assert repr(doc) == before
 
 
 def test_stationary_systems_accept_negative_times():
@@ -211,6 +394,24 @@ def test_preset_docs_are_valid_scenarios():
     for name in preset_names():
         sc = build_scenario(preset_doc(name), name)
         assert sc.name == name or sc.name == ""
+
+
+def test_build_scenario_leaves_the_document_unchanged():
+    for name in preset_names():
+        doc = preset_doc(name)
+        before = json.dumps(doc, sort_keys=True)
+        build_scenario(doc, name)
+        assert json.dumps(doc, sort_keys=True) == before
+
+
+def test_readme_example_document_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario documents", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    sc = build_scenario(json.loads(block))
+    assert sc.system.kind == "double_slit" and sc.mode == "transition"
+    assert sc.output.field == qt.FieldGridConfig(quantity="Q", xlim=(-8.0, 8.0),
+                                                 ylim=(0.0, 2.0), nx=161, ny=81)
 
 
 # --- overrides --------------------------------------------------------------
