@@ -12,7 +12,6 @@ output.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .ensemble import run_ensemble
 from .errors import ConfigurationError, InvalidParameterError
 from .presets import preset_doc, preset_names
 from .sampling import sample_initial_conditions
-from .scenario import apply_overrides, build_scenario, default_field_grid
+from .scenario import _json_document, apply_overrides, build_scenario, default_field_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,12 +75,7 @@ def _load_scenario(args):
                 text = fh.read()
         except OSError as e:
             raise RuntimeError(f"cannot read config: {e}") from e
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(
-                f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}", path="$"
-            ) from e
+        doc = _json_document(text)
         name = os.path.splitext(os.path.basename(args.config))[0]
     if args.overrides:
         doc = apply_overrides(doc, args.overrides)

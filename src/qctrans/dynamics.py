@@ -109,7 +109,9 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     """Sampled trajectory.  ``t``, ``x``, ``v`` are aligned arrays of the
-    output samples actually produced (truncated on early stop)."""
+    output samples actually produced (truncated on early stop).  ``x``, ``v``
+    and ``stop_x`` are views of the arrays of the ensemble it ran in, so
+    writing to them writes to that ensemble's samples; ``t`` is its own."""
 
     t: np.ndarray
     x: np.ndarray
@@ -172,8 +174,8 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
     v0 = np.zeros(dim) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     if v0.size != dim:
         raise InvalidParameterError(f"v0 must have {dim} components, got {v0.size}")
-    return _run_batch(mode, system, coupling, x0[None], v0[None], t_grid, integrator,
-                      stencil, use_closed)[0]
+    return _trajectories(*_run_batch(mode, system, coupling, x0[None], v0[None], t_grid,
+                                     integrator, stencil, use_closed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +195,14 @@ _HANDOFF = 8
 
 
 def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
-               stencil, use_closed) -> list:
+               stencil, use_closed) -> tuple:
     """Integrate an ensemble of starts x0 (and v0 in transition mode), each
-    of shape (n, dim), over t_grid; one Trajectory per start.
+    of shape (n, dim), over t_grid.
+
+    Returns the arrays (t, xs, vs, status, filled, steps, stop_t, stop_x):
+    the grid, the (n, nt, dim) samples, and per start its status code, its
+    number of samples produced (the rest of its row is zero), its step
+    count and its stop time and position (zero for a completed run).
 
     ``use_closed`` selects the closed forms where the system has them.  The
     kernel has no oscillator or hydrogen stencil, so with the flag off their
@@ -242,7 +249,7 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
         for i in range(n):
             hand_off(i, x0[i], np.zeros(dim) if guidance else np.asarray(v0[i], dtype=float),
                      t, cfg.dt, 0, 0)
-        return _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x)
+        return t, xs, vs, status, filled, steps, stop_t, stop_x
 
     rhs, timed = _batch_rhs(mode, system, coupling, st, use_closed)
     adaptive = cfg.method == "rk45_adaptive"
@@ -423,19 +430,20 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                 idx, y, f0, tt, dt, gi, ns, hv = (
                     arr[keep] for arr in (idx, y, f0, tt, dt, gi, ns, hv))
 
-    return _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x)
+    return t, xs, vs, status, filled, steps, stop_t, stop_x
 
 
 def _trajectories(t, xs, vs, status, filled, steps, stop_t, stop_x):
-    """One Trajectory per row of the engine's sample and status arrays."""
+    """One Trajectory per row of the engine's arrays: its x, v and stop_x
+    are views of the row, its t a copy of its part of the grid."""
     out = []
     for i in range(len(xs)):
         nf = filled[i]
-        traj = Trajectory(t=t[:nf].copy(), x=xs[i, :nf].copy(), v=vs[i, :nf].copy(),
+        traj = Trajectory(t=t[:nf].copy(), x=xs[i, :nf], v=vs[i, :nf],
                           status=STATUS_NAMES[status[i]], n_steps=int(steps[i]))
         if status[i] != kernels.COMPLETED:
             traj.stop_t = float(stop_t[i])
-            traj.stop_x = stop_x[i].copy()
+            traj.stop_x = stop_x[i]
         out.append(traj)
     return out
 

@@ -5,13 +5,17 @@ In every runtime the whole ensemble then integrates as arrays in the
 ensemble engine of :mod:`qctrans.dynamics`, which hands its last few
 trajectories to the scalar kernel (compiled when numba is installed); on
 the closed-form routes (oscillator and hydrogen) every trajectory is
-bitwise identical to a scalar run of it.
+bitwise identical to a scalar run of it.  The engine's (n, nt, dim)
+position and velocity arrays are the one copy of the samples: each
+trajectory's ``x`` and ``v`` are views of its row.
 
 Per-trajectory monitors track the quantities each system is supposed to
 conserve (or visibly fail to conserve, which in transition runs is the
 signal): kinetic energy for the free 1D packet, mechanical energy / radius /
 angular momentum for the planar oscillator, energy / L_z / cylindrical
-radius / height for the Coulomb system.  Ensemble-level metrics compare the
+radius / height for the Coulomb system.  They are computed for the whole
+ensemble in one call on the engine's arrays, and each trajectory's are
+summarised over the samples it produced.  Ensemble-level metrics compare the
 evolved positions against quadrature CDFs of |psi|^2 marginals with a
 Kolmogorov-Smirnov statistic; under pure guidance that distance stays at the
 sampling-noise floor (equivariance), under transition dynamics its growth
@@ -20,12 +24,13 @@ measures the departure from the quantum distribution.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import kernels
 from .coupling import Constant
-from .dynamics import Trajectory, _run_batch
+from .dynamics import Trajectory, _run_batch, _trajectories
 from .errors import InvalidParameterError
 from .sampling import GridCDF, marginal_density_1d, sample_initial_conditions
 from .systems import WaveField
@@ -53,43 +58,51 @@ def ks_distance(samples, cdf) -> float:
 def trajectory_monitors(system: WaveField, traj: Trajectory) -> dict:
     """Time series of the conserved-quantity candidates for one trajectory.
 
-    A hydrogen sample at r = 0 (a start at the nucleus stops there at once)
-    has the energy -inf."""
+    Only ``traj.x`` and ``traj.v`` are read, indexed ``[..., k]`` for
+    component k, so any leading axes carry through: a whole ensemble's
+    (n, nt, dim) samples give (n, nt) series.  A hydrogen sample at r = 0
+    (a start at the nucleus stops there at once) has the energy -inf."""
     x = traj.x
     v = traj.v
     if system.kind == "double_slit":
-        return {"kinetic": 0.5 * v[:, 0] ** 2}
+        return {"kinetic": 0.5 * v[..., 0] ** 2}
     if system.kind == "oscillator_2d":
         k0 = system.params.k0
-        r = np.hypot(x[:, 0], x[:, 1])
+        r = np.hypot(x[..., 0], x[..., 1])
         return {
-            "energy": 0.5 * (v[:, 0] ** 2 + v[:, 1] ** 2) + 0.5 * k0 * r**2,
+            "energy": 0.5 * (v[..., 0] ** 2 + v[..., 1] ** 2) + 0.5 * k0 * r**2,
             "radius": r,
-            "Lz": x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0],
+            "Lz": x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0],
         }
-    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
+    r = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
     with np.errstate(divide="ignore"):
-        energy = 0.5 * (v**2).sum(axis=1) - 1.0 / r
+        energy = 0.5 * (v**2).sum(axis=-1) - 1.0 / r
     return {
         "energy": energy,
-        "Lz": x[:, 0] * v[:, 1] - x[:, 1] * v[:, 0],
-        "s": np.hypot(x[:, 0], x[:, 1]),
-        "z": x[:, 2],
+        "Lz": x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0],
+        "s": np.hypot(x[..., 0], x[..., 1]),
+        "z": x[..., 2],
     }
 
 
-def _summarize(series: np.ndarray) -> dict:
-    """First and last finite sample, and the largest distance of a finite
-    sample from the first; all None when no sample is finite."""
-    finite = series[np.isfinite(series)]
-    if not finite.size:
-        return {"initial": None, "final": None, "max_drift": None}
-    v0 = float(finite[0])
-    return {
-        "initial": v0,
-        "final": float(finite[-1]),
-        "max_drift": float(np.max(np.abs(finite - v0))),
-    }
+def _summaries(series: dict, filled) -> list:
+    """Each row's summary of the (n, nt) monitor series over its first
+    ``filled`` samples: per name, the first and last finite sample and the
+    largest distance of a finite sample from the first, all None when no
+    sample is finite."""
+    out = [{} for _ in filled]
+    for name, s in series.items():
+        n, nt = s.shape
+        ok = np.isfinite(s) & (np.arange(nt) < filled[:, None])
+        rows = np.arange(n)
+        first = s[rows, ok.argmax(axis=1)]
+        last = s[rows, nt - 1 - ok[:, ::-1].argmax(axis=1)]
+        with np.errstate(invalid="ignore"):
+            drift = np.where(ok, np.abs(s - first[:, None]), 0.0).max(axis=1)
+        for row, seen, *vals in zip(out, ok.any(axis=1).tolist(), first.tolist(),
+                                    last.tolist(), drift.tolist()):
+            row[name] = dict(zip(("initial", "final", "max_drift"), vals if seen else (None,) * 3))
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,17 +150,17 @@ def distribution_metrics(system: WaveField, trajectories, t_grid) -> dict:
     out["ks_critical_1pct"] = 1.6276 / math.sqrt(len(done))
     # only the double slit's |psi|^2 moves; the other states are stationary
     stationary = system.kind != "double_slit"
+    x = np.stack([tr.x[idxs] for tr in done])  # (n_completed, len(idxs), dim)
     for axis in _KS_AXES[system.kind]:
         vals = []
         cdf = None
-        for i in idxs:
+        for j, i in enumerate(idxs):
             if cdf is None or not stationary:
                 fn, lo, hi = marginal_density_1d(
                     system, float(t_grid[i]), axis="z" if axis == "z" else "auto"
                 )
                 cdf = GridCDF(fn, lo, hi, n_cells=_KS_CELLS[system.kind])
-            samples = _axis_samples(system, axis, np.stack([tr.x[i] for tr in done]))
-            vals.append(ks_distance(samples, cdf.cdf))
+            vals.append(ks_distance(_axis_samples(system, axis, x[:, j]), cdf.cdf))
         out["ks"][axis] = vals
     return out
 
@@ -183,17 +196,19 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
     )
 
     guided = mode == "guidance"
-    trajectories = _run_batch(
+    arrays = _run_batch(
         kernels.GUIDANCE if guided else kernels.TRANSITION, system,
         Constant(1.0) if guided else coupling, pos, vel, t_grid,
         scenario.integrator, scenario.numerics, True,
     )
+    trajectories = _trajectories(*arrays)
+    _, xs, vs, _, filled, *_ = arrays
+    summaries = _summaries(trajectory_monitors(system, SimpleNamespace(x=xs, v=vs)), filled)
 
     diagnostics = []
     report = {}
-    for i, tr in enumerate(trajectories):
+    for i, (tr, mons) in enumerate(zip(trajectories, summaries)):
         report[tr.status] = report.get(tr.status, 0) + 1
-        mons = {k: _summarize(s) for k, s in trajectory_monitors(system, tr).items()}
         diagnostics.append(
             TrajectoryDiagnostics(
                 index=i, status=tr.status, n_steps=tr.n_steps,

@@ -7,11 +7,11 @@ round-trips exactly (floats serialize via repr).  SVG is emitted directly,
 no plotting dependency: fixed 800x600 viewport, linear axes, one polyline
 per trajectory, heatmaps as rect grids.
 
-The trajectory CSV and JSON are written one trajectory at a time, so memory
-holds one trajectory's text, not the file's.  Each trajectory's CSV rows,
-each polyline's points and each grid row are formatted by one ``%`` on a
-template (``"%.15g" % v`` is ``f"{v:.15g}"`` for every float, and ``%.2f``
-likewise), not one value per call.
+The trajectory CSV, JSON and SVG are written one trajectory at a time, so
+memory holds one trajectory's text, not the file's.  Each trajectory's CSV
+rows, each polyline's points and each grid row are formatted by one ``%``
+on a template (``"%.15g" % v`` is ``f"{v:.15g}"`` for every float, and
+``%.2f`` likewise), not one value per call.
 
 Heatmap colors interpolate linearly between five stops; a sign-straddling
 range uses the diverging ramp #313695 #74add1 #f7f7f7 #f46d43 #a50026
@@ -348,17 +348,10 @@ class _Canvas:
     def polyline(self, xs, ys, color, width=1.0):
         xy = np.column_stack([self.px(xs), self.py(ys)]).ravel().tolist()
         pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
-        )
+        return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
 
     def circle(self, x, y, r, color):
-        self.parts.append(
-            f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="{r}" fill="{color}"/>'
-        )
-
-    def render(self):
-        return "\n".join(self.parts) + "\n</svg>\n"
+        return f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="{r}" fill="{color}"/>'
 
 
 def _projection(system, tr):
@@ -369,30 +362,32 @@ def _projection(system, tr):
 
 
 def write_trajectories_svg(result: EnsembleResult, path: str) -> None:
+    """One polyline per trajectory, from a black dot at its start to a dot
+    of its color at its end, on axes that hold every sample.
+
+    The axis ranges come from each trajectory's own extremes; the frame and
+    then each trajectory's elements are written as they are formatted.
+    """
     system = result.scenario.system
     title = result.scenario.annotation()
-    xs_all, ys_all = [], []
-    proj = []
-    for tr in result.trajectories:
-        px, py = _projection(system, tr)
-        proj.append((px, py))
-        xs_all.append(px)
-        ys_all.append(py)
-    ax = np.concatenate(xs_all) if xs_all else np.array([0.0, 1.0])
-    ay = np.concatenate(ys_all) if ys_all else np.array([0.0, 1.0])
-    xlim = _padded(float(ax.min()), float(ax.max()))
-    ylim = _padded(float(ay.min()), float(ay.max()))
+    proj = [_projection(system, tr) for tr in result.trajectories]
+    ends = np.array([[px.min(), px.max(), py.min(), py.max()] for px, py in proj if px.size]
+                    or [[0.0, 1.0, 0.0, 1.0]])
+    xlim = _padded(float(ends[:, 0].min()), float(ends[:, 1].max()))
+    ylim = _padded(float(ends[:, 2].min()), float(ends[:, 3].max()))
     labels = ("x", "t") if system.dim == 1 else ("x", "y")
     if system.dim == 3:
         title += " | projection=xy"
     cv = _Canvas(xlim, ylim, labels[0], labels[1], title)
-    for i, (px, py) in enumerate(proj):
-        color = _PALETTE[i % len(_PALETTE)]
-        cv.polyline(px, py, color)
-        if px.shape[0]:
-            cv.circle(px[0], py[0], 2.5, "black")
-            cv.circle(px[-1], py[-1], 3.5, color)
-    _write_text(path, cv.render())
+    with _open_for_write(path) as fh:
+        fh.write("\n".join(cv.parts))
+        for i, (px, py) in enumerate(proj):
+            color = _PALETTE[i % len(_PALETTE)]
+            fh.write("\n" + cv.polyline(px, py, color))
+            if px.shape[0]:
+                fh.write("\n" + cv.circle(px[0], py[0], 2.5, "black")
+                         + "\n" + cv.circle(px[-1], py[-1], 3.5, color))
+        fh.write("\n</svg>\n")
 
 
 def _padded(lo, hi):
@@ -516,8 +511,3 @@ def _open_for_write(path):
     if d:
         os.makedirs(d, exist_ok=True)
     return open(path, "w", encoding="utf-8")
-
-
-def _write_text(path, text) -> None:
-    with _open_for_write(path) as fh:
-        fh.write(text)

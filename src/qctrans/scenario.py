@@ -144,12 +144,15 @@ def _expect_obj(v, path):
 
 def _is_pair(v):
     """[lo, hi]: two finite numbers with lo < hi."""
-    return (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(_real(e) and math.isfinite(e) for e in v) and v[0] < v[1])
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_num, v)) and v[0] < v[1]
 
 
 def _is_num(v):
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    """A finite number; an int beyond the float range is none."""
+    try:
+        return _real(v) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # a config field's type -> (its JSON test, what a message says was expected, the
@@ -267,7 +270,7 @@ def _points(raw, key, dim):
     """Explicit start positions or velocities as a tuple of dim-tuples."""
     try:
         a = np.asarray(raw, dtype=float).reshape(-1, dim)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigurationError(f"bad {key} array: {e}", path=f"ensemble.{key}") from e
     if not np.all(np.isfinite(a)):
         raise ConfigurationError(f"{key} must be finite", path=f"ensemble.{key}")
@@ -293,6 +296,10 @@ def _build_ensemble(d, system) -> SamplerConfig:
     if "positions" in kw:
         kw["n"] = len(kw["positions"])
     sampler = _section(d, "ensemble", SamplerConfig, ("domain", "positions", "velocities"), **kw)
+    for key in ("positions", "velocities"):
+        if key in d and sampler.mode != "fixed":
+            raise ConfigurationError(f"only the fixed mode takes {key}, mode is {sampler.mode!r}",
+                                     path=f"ensemble.{key}")
     if sampler.mode == "quantile_1d" and system.dim != 1:
         raise ConfigurationError("quantile_1d requires a 1D system", path="ensemble.mode")
     if sampler.mode == "fixed":
@@ -364,13 +371,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ConfigurationError(f"document is not UTF-8: {e}", path="$") from e
     if not isinstance(text, str):
         raise ConfigurationError("expected a JSON document string", path="$")
+    return build_scenario(_json_document(text))
+
+
+def _json_document(text: str):
+    """``json.loads(text)``, any failure a ConfigurationError at ``$``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigurationError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}", path="$"
         ) from e
-    return build_scenario(doc)
+    except ValueError as e:  # an integer of more digits than int() converts
+        raise ConfigurationError(f"invalid JSON: {e}", path="$") from e
 
 
 def apply_overrides(doc: dict, assignments) -> dict:
@@ -386,7 +399,7 @@ def apply_overrides(doc: dict, assignments) -> dict:
             raise ConfigurationError("empty override key", path="$")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer too long to convert
             value = raw  # bare strings allowed
         cur = out
         parts = key.split(".")

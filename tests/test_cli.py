@@ -69,6 +69,18 @@ def test_validate_bad_json_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_long_integers_exit_1(tmp_path, capsys):
+    # more digits than int() converts: in the file, json.loads fails; in an
+    # override, the value is read as a bare string
+    path = tmp_path / "long.json"
+    path.write_text('{"system": {"type": "double_slit", "rho0": 1' + "0" * 4300 + '}, '
+                    '"mode": "guidance"}')
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "error: $: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+    assert main(["validate", "--preset", "fig1", "--set", "system.rho0=1" + "0" * 4300]) == 1
+    assert "error: system.rho0: expected a finite number" in capsys.readouterr().err
+
+
 def test_validate_bad_value_exits_1(tmp_path, capsys):
     doc = {"system": {"type": "double_slit", "rho0": -1}, "mode": "guidance"}
     assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 1

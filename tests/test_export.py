@@ -385,6 +385,31 @@ def test_trajectory_writers_match_per_value_oracle(kind, tmp_path):
         assert (tmp_path / name).read_bytes() == oracle(res).encode()
 
 
+def _oracle_summary(series):
+    """First and last finite sample, and the largest distance of a finite
+    sample from the first; all None when no sample is finite."""
+    finite = [v for v in series.tolist() if math.isfinite(v)]
+    if not finite:
+        return {"initial": None, "final": None, "max_drift": None}
+    return {"initial": finite[0], "final": finite[-1],
+            "max_drift": max(abs(v - finite[0]) for v in finite)}
+
+
+@pytest.mark.parametrize("kind", sorted(_MIXED))
+def test_monitor_summaries_match_per_trajectory_oracle(kind):
+    # truncated rows: the samples after the stop are not theirs and must not
+    # count; the hydrogen start at the nucleus has no finite energy at all
+    res = _mixed(kind)
+    system = res.scenario.system
+    assert any(tr.t.size < res.t.size for tr in res.trajectories)
+    for tr, d in zip(res.trajectories, res.diagnostics, strict=True):
+        want = {k: _oracle_summary(s) for k, s in trajectory_monitors(system, tr).items()}
+        assert d.monitors == want
+    if kind == "hydrogen":
+        assert {"initial": None, "final": None, "max_drift": None} in [
+            d.monitors["energy"] for d in res.diagnostics]
+
+
 # sha256 of every file ``qctrans simulate --formats csv,json,svg`` writes for
 # the presets that are not hydrogen, as written by the per-value writers
 _PRESET_DIGESTS = {
@@ -440,21 +465,23 @@ def test_simulate_preset_files_keep_their_bytes(tmp_path, capsys):
 
 
 def test_trajectory_writers_hold_one_trajectory_at_a_time():
-    # 800 trajectories of 141 samples: 16 MB of CSV and 11 MB of JSON, which
-    # the writers must not hold whole (holding them peaks at ~55 MB each).
+    # 800 trajectories of 141 samples: 16 MB of CSV, 11 MB of JSON and 1.7 MB
+    # of SVG, which the writers must not hold whole (holding them peaks at
+    # ~55 MB each for CSV and JSON, and at 7.4 MB for the SVG).
     # The cost is tracemalloc's, about six times the writers' own
     doc = {"system": {"type": "oscillator_2d"}, "mode": "guidance",
            "ensemble": {"mode": "rejection", "n": 800, "seed": 5},
            "time": {"start": 0.0, "end": 1.4, "n_outputs": 141}}
     res = qt.run_ensemble(qt.build_scenario(doc, name="big"), compute_metrics=False)
-    for write in (write_trajectories_csv, write_result_json):
+    for write, bound in ((write_trajectories_csv, 16e6), (write_result_json, 16e6),
+                         (write_trajectories_svg, 3e6)):
         tracemalloc.start()
         try:
             write(res, os.devnull)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6, (write.__name__, peak)
+        assert peak <= bound, (write.__name__, peak)
 
 
 def _poison(res, where):

@@ -64,8 +64,9 @@ def test_transition_builds_requested_schedule():
 # --- validation errors carry dotted paths -----------------------------------
 
 def _config_error(doc):
+    """The error of a document, or of a JSON text."""
     with pytest.raises(qt.ConfigurationError) as exc:
-        build_scenario(doc)
+        (parse_scenario if isinstance(doc, str) else build_scenario)(doc)
     return exc.value
 
 
@@ -285,6 +286,26 @@ _BAD_DOCUMENTS = [
      "output.field.plane: must be one of ['xy', 'xz', 'yz'], got 'ab'"),
     (_with(output={"field": {"offset": True}}),
      'output.field.offset: expected a finite number, got True'),
+    # an int beyond the float range, and a JSON integer of more digits than
+    # int() converts
+    ({"system": {"type": "double_slit", "rho0": 10**400}, "mode": "guidance"},
+     f'system.rho0: expected a finite number, got {10**400}'),
+    (_with(output={"field": {"xlim": [0, 10**400]}}),
+     f'output.field.xlim: expected [lo, hi] with lo < hi, got [0, {10**400}]'),
+    (_with(ensemble={"mode": "fixed", "positions": [[10**400]]}),
+     'ensemble.positions: bad positions array: int too large to convert to float'),
+    pytest.param(
+        '{"system": {"type": "double_slit", "rho0": 1' + "0" * 4300 + '}, "mode": "guidance"}',
+        '$: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: '
+        'value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit',
+        id="json-integer-of-4301-digits"),
+    # explicit starts outside the fixed mode would only set n
+    (dict(OSC, ensemble={"mode": "rejection", "positions": [[1, 0], [0, 2]]}),
+     "ensemble.positions: only the fixed mode takes positions, mode is 'rejection'"),
+    (dict(OSC, ensemble={"velocities": [[1, 0]]}),
+     "ensemble.velocities: only the fixed mode takes velocities, mode is 'rejection'"),
+    (_with(ensemble={"positions": [[0.5]], "velocities": [[0.0]]}),
+     "ensemble.positions: only the fixed mode takes positions, mode is 'quantile_1d'"),
 ]
 
 

@@ -1,0 +1,46 @@
+"""tools/code_lines.py, the code-line count the code size is measured by."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "code_lines", Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(code_lines)
+
+
+def _count(tmp_path, source):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    return code_lines.code_lines(path)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("", 0),
+    ("x = 1\n", 1),
+    # comments and blank lines
+    ("# a comment\n\nx = 1  # trailing\n\n\n# another\n", 1),
+    # docstrings of the module, a function and a class, one and several lines
+    ('"""Module.\n\nMore.\n"""\n\ndef f():\n    """One line."""\n    return 1\n', 2),
+    ('class A:\n    """Doc.\n\n    More.\n    """\n', 1),
+    # a lone string statement anywhere is a docstring
+    ('x = 1\n"""not code\neither"""\ny = 2\n', 2),
+    # a statement holding a multi-line string counts each of its lines
+    ('x = """a\nb\nc"""\n', 3),
+    ('f(\n    """a\n    b""",\n    1,\n)\n', 5),
+    # a statement over several lines, with a comment and a blank line inside
+    ("y = [\n    1,  # one\n\n    2,\n]\n", 4),
+])
+def test_code_lines(tmp_path, source, expected):
+    assert _count(tmp_path, source) == expected
+
+
+def test_main_prints_each_file_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text('"""Doc."""\nz = 3\n')
+    assert code_lines.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"     2  {tmp_path / 'a.py'}", f"     1  {tmp_path / 'sub' / 'b.py'}",
+                   f"     3  {tmp_path} (total)"]
