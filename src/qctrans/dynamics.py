@@ -61,13 +61,13 @@ from . import kernels
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant
 from .errors import InvalidParameterError
-from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _dense_enough, _int, _real
+from .fields import DEFAULT_STENCIL, StencilConfig, _batch_rhs, _dense_enough
 from .kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
     _A65, _A71, _A73, _A74, _A75, _A76, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     _MAX_HALVINGS,
 )
-from .systems import WaveField
+from .systems import WaveField, _integer, _number, _shown
 
 STATUS_NAMES = {
     kernels.COMPLETED: "completed",
@@ -96,14 +96,15 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise InvalidParameterError(
-                f"method must be one of {sorted(_METHODS)}, got {self.method!r}"
+                f"method must be one of {sorted(_METHODS)}, got {_shown(self.method)}"
             )
         for name in ("dt", "rtol", "atol"):
             v = getattr(self, name)
-            if not (_real(v) and math.isfinite(v) and v > 0):
-                raise InvalidParameterError(f"{name} must be > 0, got {v!r}")
-        if not (_int(self.max_steps) and self.max_steps > 0):
-            raise InvalidParameterError(f"max_steps must be a positive int, got {self.max_steps!r}")
+            if not (_number(v) and v > 0):
+                raise InvalidParameterError(f"{name} must be > 0, got {_shown(v)}")
+        if not (_integer(self.max_steps) and self.max_steps > 0):
+            raise InvalidParameterError(
+                f"max_steps must be a positive int, got {_shown(self.max_steps)}")
 
 
 @dataclass

@@ -23,6 +23,7 @@ measures the departure from the quantum distribution.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -205,24 +206,17 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
     _, xs, vs, _, filled, *_ = arrays
     summaries = _summaries(trajectory_monitors(system, SimpleNamespace(x=xs, v=vs)), filled)
 
-    diagnostics = []
-    report = {}
-    for i, (tr, mons) in enumerate(zip(trajectories, summaries)):
-        report[tr.status] = report.get(tr.status, 0) + 1
-        diagnostics.append(
-            TrajectoryDiagnostics(
-                index=i, status=tr.status, n_steps=tr.n_steps,
-                stop_t=tr.stop_t, monitors=mons,
-            )
-        )
+    diagnostics = [TrajectoryDiagnostics(i, tr.status, tr.n_steps, tr.stop_t, mons)
+                   for i, (tr, mons) in enumerate(zip(trajectories, summaries))]
+    report = Counter(tr.status for tr in trajectories)  # keys in first-appearance order
     metrics = (
         distribution_metrics(system, trajectories, t_grid)
         if compute_metrics
-        else {"times": [], "n_completed": len(trajectories), "ks": {},
+        else {"times": [], "n_completed": report["completed"], "ks": {},
               "ks_critical_1pct": None}
     )
     return EnsembleResult(
         scenario=scenario, t=t_grid, positions0=pos, velocities0=vel,
         trajectories=trajectories, diagnostics=diagnostics,
-        distribution_metrics=metrics, truncation_report=report,
+        distribution_metrics=metrics, truncation_report=dict(report),
     )

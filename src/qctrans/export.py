@@ -77,13 +77,6 @@ def write_trajectories_csv(result: EnsembleResult, path: str) -> None:
 # JSON
 # ---------------------------------------------------------------------------
 
-def result_document(result: EnsembleResult) -> dict:
-    """JSON-ready dict of the full ensemble result."""
-    doc = _document_head(result)
-    doc["trajectories"] = [_trajectory_entry(i, tr) for i, tr in enumerate(result.trajectories)]
-    return doc
-
-
 def _document_head(result: EnsembleResult) -> dict:
     """The result document with an empty trajectory list, its last key."""
     sc = result.scenario
@@ -97,16 +90,7 @@ def _document_head(result: EnsembleResult) -> dict:
         "velocities0": result.velocities0.tolist(),
         "truncation_report": dict(result.truncation_report),
         "distribution_metrics": result.distribution_metrics,
-        "diagnostics": [
-            {
-                "index": d.index,
-                "status": d.status,
-                "n_steps": d.n_steps,
-                "stop_t": d.stop_t,
-                "monitors": d.monitors,
-            }
-            for d in result.diagnostics
-        ],
+        "diagnostics": [dict(vars(d)) for d in result.diagnostics],
         "trajectories": [],
     }
 
@@ -127,7 +111,8 @@ def write_result_json(result: EnsembleResult, path: str) -> None:
     """Strict JSON: a NaN or an infinity raises instead of writing a token
     that is not JSON, before the file is opened.
 
-    The bytes are ``json.dumps(result_document(result))`` and a newline;
+    The bytes are ``json.dumps`` of the whole document (``_document_head``
+    with every ``_trajectory_entry`` in its trajectory list) and a newline;
     the trajectories are encoded and written one at a time.
     """
     head = json.dumps(_document_head(result), allow_nan=False)

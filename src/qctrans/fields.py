@@ -25,8 +25,6 @@ recurrences) to its caller, who checks every stage point of a step in one
 call.  ``force`` is that right-hand side at one point, guard included.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ import numpy as np
 from . import kernels
 from ._jit import _array
 from .errors import InvalidParameterError, NodeProximityError
-from .systems import WaveField, hydrogen_rho
+from .systems import WaveField, _number, _shown, hydrogen_rho
 
 
 @dataclass(frozen=True)
@@ -44,23 +42,12 @@ class StencilConfig:
     min_rho: float = 1e-12
 
     def __post_init__(self):
-        if not (_real(self.h) and math.isfinite(self.h) and self.h > 0):
-            raise InvalidParameterError(f"stencil h must be > 0, got {self.h!r}")
+        if not (_number(self.h) and self.h > 0):
+            raise InvalidParameterError(f"stencil h must be > 0, got {_shown(self.h)}")
         if not isinstance(self.richardson, bool):
-            raise InvalidParameterError(f"richardson must be a bool, got {self.richardson!r}")
-        if not (_real(self.min_rho) and math.isfinite(self.min_rho) and self.min_rho >= 0):
-            raise InvalidParameterError(f"min_rho must be >= 0, got {self.min_rho!r}")
-
-
-def _real(v):
-    """A real number, numpy's included; a bool is an int to isinstance, but
-    never a number here (np.bool_ is none to :mod:`numbers`)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _int(v):
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            raise InvalidParameterError(f"richardson must be a bool, got {_shown(self.richardson)}")
+        if not (_number(self.min_rho) and self.min_rho >= 0):
+            raise InvalidParameterError(f"min_rho must be >= 0, got {_shown(self.min_rho)}")
 
 
 DEFAULT_STENCIL = StencilConfig()

@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, InvalidParameterError, NodeProximityError
-from .fields import DEFAULT_STENCIL, _grad_s, _int, _real, velocity_grad_s
-from .systems import WaveField
+from .fields import DEFAULT_STENCIL, _grad_s, velocity_grad_s
+from .systems import WaveField, _integer, _number, _shown
 
 _MAX_RETRIES = 10
 _BLOCK = 1 << 13  # points per bulk density evaluation
@@ -68,21 +68,18 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.mode not in ("rejection", "quantile_1d", "fixed"):
-            raise InvalidParameterError(f"unknown sampler mode {self.mode!r}")
-        if not (_int(self.n) and self.n >= 1):
-            raise InvalidParameterError(f"n must be a positive int, got {self.n!r}")
-        if not (_int(self.seed) and self.seed >= 0):
-            raise InvalidParameterError(f"seed must be a non-negative int, got {self.seed!r}")
-        if not (_real(self.envelope_margin) and math.isfinite(self.envelope_margin)
-                and self.envelope_margin >= 1.0):
+            raise InvalidParameterError(f"unknown sampler mode {_shown(self.mode)}")
+        if not (_integer(self.n) and self.n >= 1):
+            raise InvalidParameterError(f"n must be a positive int, got {_shown(self.n)}")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise InvalidParameterError(f"seed must be a non-negative int, got {_shown(self.seed)}")
+        if not (_number(self.envelope_margin) and self.envelope_margin >= 1.0):
             raise InvalidParameterError(
-                f"envelope_margin must be a finite real >= 1, got {self.envelope_margin!r}"
+                f"envelope_margin must be a finite real >= 1, got {_shown(self.envelope_margin)}"
             )
-        if self.envelope is not None and not (
-            _real(self.envelope) and math.isfinite(self.envelope) and self.envelope > 0
-        ):
+        if self.envelope is not None and not (_number(self.envelope) and self.envelope > 0):
             raise InvalidParameterError(
-                f"envelope must be None or a finite real > 0, got {self.envelope!r}"
+                f"envelope must be None or a finite real > 0, got {_shown(self.envelope)}"
             )
         if self.mode == "fixed" and self.positions is None:
             raise InvalidParameterError("fixed sampler mode requires positions")
@@ -115,16 +112,16 @@ def default_domain(system: WaveField):
 
 def _domain(system, sampler):
     dom = sampler.domain if sampler.domain is not None else default_domain(system)
-    dom = tuple((float(lo), float(hi)) for lo, hi in dom)
     if len(dom) != system.dim:
         raise ConfigurationError(
             f"domain has {len(dom)} dimensions, system has {system.dim}",
             path="ensemble.domain",
         )
     for lo, hi in dom:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigurationError(f"bad interval ({lo}, {hi})", path="ensemble.domain")
-    return dom
+        if not (_number(lo) and _number(hi) and lo < hi):
+            raise ConfigurationError(f"bad interval ({_shown(lo)}, {_shown(hi)})",
+                                     path="ensemble.domain")
+    return tuple((float(lo), float(hi)) for lo, hi in dom)
 
 
 class GridCDF:

@@ -18,7 +18,6 @@ dataclass's own.
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,10 @@ import numpy as np
 from .coupling import Constant, GaussianCDF, Logistic
 from .dynamics import _METHODS, IntegratorConfig
 from .errors import ConfigurationError, InvalidParameterError
-from .fields import StencilConfig, _real
-from .fields import _int as _is_int
+from .fields import StencilConfig
 from .sampling import SamplerConfig, _fixed_start
 from .systems import (DoubleSlitParams, HydrogenParams, Oscillator2DParams, WaveField,
-                      _finite)
+                      _finite, _integer, _number, _shown)
 
 MODES = ("guidance", "transition", "classical")
 QUANTITIES = ("rho", "S", "Q")
@@ -49,8 +47,9 @@ class TimeGrid:
         _finite("end", self.end)
         if not self.end > self.start:
             raise InvalidParameterError(f"need end > start, got [{self.start}, {self.end}]")
-        if not (isinstance(self.n_outputs, int) and self.n_outputs >= 2):
-            raise InvalidParameterError(f"n_outputs must be an int >= 2, got {self.n_outputs!r}")
+        if not (_integer(self.n_outputs) and self.n_outputs >= 2):
+            raise InvalidParameterError(
+                f"n_outputs must be an int >= 2, got {_shown(self.n_outputs)}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.end, self.n_outputs)
@@ -71,15 +70,17 @@ class FieldGridConfig:
         for name, choices in (("quantity", QUANTITIES), ("plane", PLANES)):
             v = getattr(self, name)
             if v not in choices:
-                raise InvalidParameterError(f"{name} must be one of {sorted(choices)}, got {v!r}")
+                raise InvalidParameterError(
+                    f"{name} must be one of {sorted(choices)}, got {_shown(v)}")
         for name in ("nx", "ny"):
             v = getattr(self, name)
-            if not (_is_int(v) and v >= 2):
-                raise InvalidParameterError(f"{name} must be an int >= 2, got {v!r}")
+            if not (_integer(v) and v >= 2):
+                raise InvalidParameterError(f"{name} must be an int >= 2, got {_shown(v)}")
         for name in ("xlim", "ylim"):
             v = getattr(self, name)
             if not _is_pair(v):
-                raise InvalidParameterError(f"{name} must be [lo, hi] with lo < hi, got {v!r}")
+                raise InvalidParameterError(
+                    f"{name} must be [lo, hi] with lo < hi, got {_shown(v)}")
         _finite("t", self.t)
         _finite("offset", self.offset)
 
@@ -144,23 +145,15 @@ def _expect_obj(v, path):
 
 def _is_pair(v):
     """[lo, hi]: two finite numbers with lo < hi."""
-    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_num, v)) and v[0] < v[1]
-
-
-def _is_num(v):
-    """A finite number; an int beyond the float range is none."""
-    try:
-        return _real(v) and math.isfinite(v)
-    except OverflowError:
-        return False
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_number, v)) and v[0] < v[1]
 
 
 # a config field's type -> (its JSON test, what a message says was expected, the
 # conversion to the field's value)
 _TYPES = {
-    float: (_is_num, "a finite number", float),
-    float | None: (_is_num, "a finite number", float),
-    int: (lambda v: not isinstance(v, bool) and isinstance(v, int), "an integer", int),
+    float: (_number, "a finite number", float),
+    float | None: (_number, "a finite number", float),
+    int: (_integer, "an integer", int),
     str: (lambda v: isinstance(v, str), "a string", str),
     bool: (lambda v: isinstance(v, bool), "a boolean", bool),
     tuple: (_is_pair, "[lo, hi] with lo < hi", lambda v: (float(v[0]), float(v[1]))),
@@ -196,7 +189,7 @@ def _read(v, path, kind):
     """The JSON value v at path as a field of type kind."""
     ok, name, value = _TYPES[kind]
     if not ok(v):
-        raise ConfigurationError(f"expected {name}, got {v!r}", path=path)
+        raise ConfigurationError(f"expected {name}, got {_shown(v)}", path=path)
     v = value(v)
     check, message = _CHECKS.get(path, (None, None))
     if check and not check(v):
@@ -326,7 +319,7 @@ def _build_output(d, system, name) -> OutputConfig:
             raise ConfigurationError("expected a non-empty list", path="output.formats")
         for f in formats:
             if f not in FORMATS:
-                raise ConfigurationError(f"must be one of {sorted(FORMATS)}, got {f!r}",
+                raise ConfigurationError(f"must be one of {sorted(FORMATS)}, got {_shown(f)}",
                                          path="output.formats")
         kw["formats"] = tuple(formats)
     if "field" in d:

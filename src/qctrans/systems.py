@@ -28,10 +28,19 @@ even where a shorter algebraic form exists, so they are an independent
 route: the double slit's density and phase and the oscillator density,
 velocities and Q and hydrogen's velocities and Q are the tests' oracles,
 and Q also draws the field maps of ``export.compute_field``.
+
+The one number rule of every parameter lives here too: ``_number`` (a finite
+real, numpy's scalars included, never a bool, and no int beyond the float
+range) and ``_integer`` (an integral ``_number``).  The params and coupling
+classes, the time, stencil, integrator, sampler and field-grid configs, the
+scenario reader and the sampler's domain all ask these two, so a value gets
+one verdict everywhere; ``_shown`` quotes a rejected value in a message
+without raising.
 """
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +50,34 @@ from ._jit import _array
 from .errors import InvalidParameterError, SingularityError
 
 
+def _number(v):
+    """A finite real, numpy's included; a bool is an int to isinstance but
+    never a number here (np.bool_ is none to :mod:`numbers`), and an int
+    beyond the float range is none."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _integer(v):
+    """An integer, numpy's included, that is a ``_number``."""
+    return isinstance(v, numbers.Integral) and _number(v)
+
+
+def _shown(v):
+    """repr(v) for a message; a value whose repr raises (an int of more
+    digits than Python converts to text, or a list holding one) is named by
+    its type instead."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"<{type(v).__name__} too long to print>"
+
+
 def _finite(name, v):
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise InvalidParameterError(f"{name} must be a finite number, got {v!r}")
+    if not _number(v):
+        raise InvalidParameterError(f"{name} must be a finite number, got {_shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +121,8 @@ class HydrogenParams:
     def __post_init__(self):
         for name in ("n", "l", "m"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+            if not _integer(v):
+                raise InvalidParameterError(f"{name} must be an integer, got {_shown(v)}")
         if self.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.l < self.n:
@@ -123,7 +157,7 @@ class WaveField:
             self._par = np.array([float(params.n), float(params.l), float(params.m),
                                   *_hydrogen_norms(params.n, params.l, abs(params.m))])
         else:
-            raise InvalidParameterError(f"unknown system kind {kind!r}")
+            raise InvalidParameterError(f"unknown system kind {_shown(kind)}")
 
     def __repr__(self):
         return f"WaveField({self.kind}, {self.params})"
@@ -203,7 +237,7 @@ def hydrogen(n=2, l=1, m=1) -> WaveField:
 def make_system(kind: str, **params) -> WaveField:
     makers = {"double_slit": double_slit, "oscillator_2d": oscillator_2d, "hydrogen": hydrogen}
     if kind not in makers:
-        raise InvalidParameterError(f"unknown system kind {kind!r}")
+        raise InvalidParameterError(f"unknown system kind {_shown(kind)}")
     maker = makers[kind]
     known = set(inspect.signature(maker).parameters)
     extra = set(params) - known
@@ -339,7 +373,8 @@ def _hydrogen_norms(n, l, ma):
     fa = 1.0
     for i in range(l - ma + 1, l + ma + 1):
         fa *= i
-    return (2.0 / n**2) / math.sqrt(fr), math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
+    # int / int, so an n whose square is beyond the float range gives 0.0
+    return (2 / n**2) / math.sqrt(fr), math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
 
 
 # the recurrences of the kernel's density, for arrays

@@ -81,6 +81,12 @@ def test_validate_long_integers_exit_1(tmp_path, capsys):
     assert "error: system.rho0: expected a finite number" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_hydrogen_n_beyond_the_float_range(tmp_path, capsys):
+    doc = {"system": {"type": "hydrogen", "n": 10**400, "l": 0, "m": 0}, "mode": "guidance"}
+    assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 1
+    assert "error: system.n: expected an integer, got 1000" in capsys.readouterr().err
+
+
 def test_validate_bad_value_exits_1(tmp_path, capsys):
     doc = {"system": {"type": "double_slit", "rho0": -1}, "mode": "guidance"}
     assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 1

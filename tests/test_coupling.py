@@ -97,3 +97,5 @@ def test_invalid_parameters_rejected(make):
 def test_eval_rejects_non_finite_time():
     with pytest.raises(InvalidParameterError):
         eval_P(Constant(0.5), float("nan"))
+    with pytest.raises(InvalidParameterError):  # no OverflowError
+        eval_P(Constant(0.5), 10**400)

@@ -150,6 +150,7 @@ def test_truncation_report_counts_stopped_runs():
     assert res.diagnostics[0].index == 0
     assert res.diagnostics[0].stop_t is not None
     assert len(res.completed) == 1
+    assert res.distribution_metrics["n_completed"] == 1
     assert res.n == 2
 
 

@@ -491,3 +491,10 @@ def test_domain_bad_interval():
         qt.sample_positions(
             osc, qt.SamplerConfig(n=4, domain=((1.0, -1.0), (-1.0, 1.0)))
         )
+
+
+def test_domain_bound_beyond_the_float_range_is_a_bad_interval():
+    ds = qt.double_slit()
+    for mode in ("quantile_1d", "rejection"):
+        with pytest.raises(qt.ConfigurationError, match=r"ensemble.domain: bad interval \(0, 1000"):
+            qt.sample_positions(ds, qt.SamplerConfig(mode=mode, n=4, domain=((0, 10**400),)))

@@ -1,13 +1,18 @@
 """Scenario documents: defaults, validation paths, presets, overrides."""
+import dataclasses
 import json
 import math
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qctrans as qt
+from qctrans import scenario as scn
+from qctrans.dynamics import _METHODS
 from qctrans.presets import preset, preset_doc, preset_names
 from qctrans.scenario import apply_overrides, build_scenario, parse_scenario
 
@@ -306,14 +311,37 @@ _BAD_DOCUMENTS = [
      "ensemble.velocities: only the fixed mode takes velocities, mode is 'rejection'"),
     (_with(ensemble={"positions": [[0.5]], "velocities": [[0.0]]}),
      "ensemble.positions: only the fixed mode takes positions, mode is 'quantile_1d'"),
+    # an int beyond the float range is neither a number nor an integer in any
+    # section; one of more digits than repr converts (which only a dict
+    # document can hold) is quoted by its type
+    ({"system": {"type": "hydrogen", "n": 10**400, "l": 0, "m": 0}, "mode": "guidance"},
+     f'system.n: expected an integer, got {10**400}'),
+    ({"system": {"type": "double_slit", "rho0": 10**5000}, "mode": "guidance"},
+     'system.rho0: expected a finite number, got <int too long to print>'),
+    (_trans({"type": "logistic", "b": 10**5000, "t0": 0}),
+     'coupling.b: expected a finite number, got <int too long to print>'),
+    (_with(ensemble={"seed": 10**400}), f'ensemble.seed: expected an integer, got {10**400}'),
+    (_with(ensemble={"n": 10**400}), f'ensemble.n: expected an integer, got {10**400}'),
+    (_with(ensemble={"domain": [[0, 10**5000]]}),
+     'ensemble.domain[0]: expected [lo, hi] with lo < hi, got <list too long to print>'),
+    (_with(integrator={"max_steps": 10**400}),
+     f'integrator.max_steps: expected an integer, got {10**400}'),
+    (_with(time={"n_outputs": -10**5000}),
+     'time.n_outputs: expected an integer, got <int too long to print>'),
+    (_with(numerics={"min_rho": 10**5000}),
+     'numerics.min_rho: expected a finite number, got <int too long to print>'),
+    (_with(output={"formats": ["csv", 10**5000]}),
+     "output.formats: must be one of ['csv', 'json', 'svg'], got <int too long to print>"),
+    (_with(output={"field": {"nx": 10**400}}),
+     f'output.field.nx: expected an integer, got {10**400}'),
 ]
 
 
 @pytest.mark.parametrize("doc,message", _BAD_DOCUMENTS)
 def test_validation_messages(doc, message):
-    before = repr(doc)
+    before = pickle.dumps(doc)  # repr raises on an int of more than 4300 digits
     assert str(_config_error(doc)) == message
-    assert repr(doc) == before
+    assert pickle.dumps(doc) == before
 
 
 def test_stationary_systems_accept_negative_times():
@@ -340,6 +368,35 @@ def test_stationary_systems_accept_negative_times():
 def test_config_dataclass_validation(make):
     with pytest.raises(qt.InvalidParameterError):
         make()
+
+
+# one number rule: each public config's number and integer fields, with the
+# arguments a class needs besides
+_CONFIGS = {
+    qt.DoubleSlitParams: {}, qt.Oscillator2DParams: {}, qt.HydrogenParams: {},
+    qt.Logistic: {"b": 1.0, "t0": 0.0}, qt.GaussianCDF: {"mu": 0.0, "sigma": 1.0},
+    qt.Constant: {"value": 0.5}, qt.StencilConfig: {}, qt.IntegratorConfig: {},
+    qt.SamplerConfig: {}, qt.TimeGrid: {}, qt.FieldGridConfig: {},
+}
+_NUMBER_FIELDS = [(cls, f) for cls in _CONFIGS for f in dataclasses.fields(cls)
+                  if f.type in (float, int, float | None)]
+
+
+def test_every_public_config_has_number_fields():
+    assert {cls for cls, _ in _NUMBER_FIELDS} == set(_CONFIGS)
+
+
+@pytest.mark.parametrize("cls,field", _NUMBER_FIELDS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, f in _NUMBER_FIELDS])
+def test_one_number_rule_across_the_public_configs(cls, field):
+    args = _CONFIGS[cls]
+    for bad in (True, math.nan, math.inf, 10**400, -10**5000):
+        with pytest.raises(qt.InvalidParameterError):
+            cls(**{**args, field.name: bad})
+    valid = args.get(field.name, field.default)
+    valid = 2.0 if valid is None else valid  # SamplerConfig.envelope
+    for scalar in (np.int64, np.int32) if field.type is int else (np.float64, np.float32):
+        cls(**{**args, field.name: scalar(valid)})
 
 
 def test_json_error_names_line_and_column():
@@ -497,3 +554,107 @@ def test_build_scenario_total_on_documents(doc):
         build_scenario(doc)
     except qt.ConfigurationError:
         pass
+
+
+# documents built from the tables the section reader reads: each section's
+# dataclass fields, with the systems and couplings by their type; a field
+# holds its default and now and then a value of the wrong JSON type, an int
+# beyond the float range or a number out of range, read by type (_TYPES)
+_HUGE = st.sampled_from([10**400, -(10**400), 10**300, 2**63])
+_NUMS = (st.integers(-3, 300) | st.floats(-50, 50)
+         | st.sampled_from([0, 0.5, 1, 1.5, 2, -1e-4, 1e-4, 1e-12]))
+_WRONG = (st.none() | st.booleans() | st.text(max_size=3) | st.just([]) | st.just({})
+          | st.sampled_from([math.nan, math.inf]))
+_WORDS = st.sampled_from(sorted({*scn.MODES, *scn.QUANTITIES, *scn.PLANES, *scn.FORMATS,
+                                 *_METHODS, "rejection", "quantile_1d", "fixed"}))
+_PAIRS = st.lists(_NUMS | _HUGE, min_size=2, max_size=2)
+_POINTS = st.lists(st.lists(_NUMS | _HUGE, min_size=1, max_size=3), min_size=1, max_size=3)
+_BY_TYPE = {
+    float: _NUMS | _HUGE | _WRONG,
+    float | None: _NUMS | _HUGE | _WRONG,
+    int: _NUMS | _HUGE | _WRONG,
+    str: _WORDS | _WRONG,
+    bool: _WRONG,
+    tuple: _PAIRS | _WRONG,
+}
+_RARE = st.integers(0, 15).map(lambda k: k == 7)  # not 0, which hypothesis favours
+
+
+@st.composite
+def _section(draw, cls, **good):
+    """Some of cls's fields, each with its default (or a value drawn from
+    ``good``), rarely a mutated value instead; rarely an unknown key."""
+    d = {}
+    for f in dataclasses.fields(cls):
+        if (f.default is None and f.name not in good) or not draw(st.booleans()):
+            continue
+        if draw(_RARE):
+            d[f.name] = draw(_BY_TYPE.get(f.type, _WRONG))
+        elif f.name in good:
+            d[f.name] = draw(good[f.name])
+        else:
+            d[f.name] = f.default if f.default is not dataclasses.MISSING else 0.5
+    if draw(_RARE):
+        d["bogus"] = 1
+    return d
+
+
+def _typed(table):
+    return st.sampled_from(sorted(table)).flatmap(
+        lambda kind: _section(table[kind]).map(lambda d: {"type": kind, **d}))
+
+
+_SECTIONS = {
+    "coupling": _typed(scn._COUPLINGS),
+    "ensemble": _section(qt.SamplerConfig, domain=st.lists(_PAIRS, max_size=3),
+                         positions=_POINTS, velocities=_POINTS),
+    "integrator": _section(qt.IntegratorConfig),
+    "time": _section(qt.TimeGrid),
+    "numerics": _section(qt.StencilConfig),
+    "output": _section(scn.OutputConfig, field=_section(qt.FieldGridConfig)),
+    "name": st.text(max_size=3),
+}
+
+
+@st.composite
+def _documents(draw):
+    """A system, a mode and some other sections; rarely one of them (or an
+    unknown key) set to a value of the wrong JSON type."""
+    doc = {"system": draw(_typed(scn._SYSTEMS)), "mode": draw(st.sampled_from(scn.MODES))}
+    for key, section in _SECTIONS.items():
+        if draw(st.booleans()):
+            doc[key] = draw(section)
+    if draw(_RARE):
+        doc[draw(st.sampled_from([*doc, "bogus"]))] = draw(_WRONG | _WORDS)
+    return doc
+
+
+def test_document_tables_cover_every_type_and_checked_path():
+    assert set(_BY_TYPE) == set(scn._TYPES)
+    paths = {"$.mode", "system.type", "coupling.type", "output.formats"}
+    for section, classes in (("system", scn._SYSTEMS.values()),
+                             ("coupling", scn._COUPLINGS.values()),
+                             ("ensemble", [qt.SamplerConfig]),
+                             ("integrator", [qt.IntegratorConfig]),
+                             ("output.field", [qt.FieldGridConfig])):
+        paths |= {f"{section}.{f.name}" for cls in classes for f in dataclasses.fields(cls)}
+    assert set(scn._CHECKS) <= paths
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_documents())
+@example({"system": {"type": "hydrogen", "n": 10**400, "l": 0, "m": 0}, "mode": "guidance"})
+@example({"system": {"type": "hydrogen", "n": 10**300, "l": 0, "m": 0}, "mode": "guidance"})
+@example({"system": {"type": "double_slit", "rho0": 10**400}, "mode": "guidance"})
+@example(_trans({"type": "logistic", "b": 10**400, "t0": 0}))
+@example(_with(ensemble={"seed": 10**400, "domain": [[0, 10**400]]}))
+@example(_with(integrator={"max_steps": 10**400}))
+@example(_with(time={"n_outputs": 10**400}))
+@example(_with(numerics={"h": 10**400}))
+@example(_with(output={"field": {"nx": 10**400}}))
+def test_documents_from_the_section_tables_fail_only_as_configuration_errors(doc):
+    for read, arg in ((build_scenario, doc), (parse_scenario, json.dumps(doc))):
+        try:
+            read(arg)
+        except qt.ConfigurationError:
+            pass
