@@ -12,13 +12,7 @@ set QCTRANS_NO_NUMBA=1 to force the pure-Python path.
 
 from ._jit import NUMBA_ENABLED
 from .coupling import Constant, GaussianCDF, Logistic, eval_P, eval_lambda
-from .dynamics import (
-    IntegratorConfig,
-    Trajectory,
-    TrajectoryState,
-    integrate_guidance,
-    integrate_transition,
-)
+from .dynamics import IntegratorConfig, Trajectory, integrate_guidance, integrate_transition
 from .ensemble import (
     EnsembleResult,
     TrajectoryDiagnostics,
@@ -93,7 +87,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NUMBA_ENABLED",
     "Constant", "GaussianCDF", "Logistic", "eval_P", "eval_lambda",
-    "IntegratorConfig", "Trajectory", "TrajectoryState",
+    "IntegratorConfig", "Trajectory",
     "integrate_guidance", "integrate_transition",
     "EnsembleResult", "TrajectoryDiagnostics", "distribution_metrics",
     "ks_distance", "run_ensemble", "trajectory_monitors", "worker_count",

@@ -130,13 +130,10 @@ def _cmd_sample(args) -> int:
         sc.system, sc.ensemble, t_start=sc.time.start, stencil=sc.numerics
     )
     coords = exp._COORDS[sc.system.dim]
-    lines = ["index," + ",".join(coords) + "," + ",".join(f"v{c}" for c in coords)]
-    for i in range(pos.shape[0]):
-        cells = [str(i)]
-        cells += [f"{v:.15g}" for v in pos[i]]
-        cells += [f"{v:.15g}" for v in vel[i]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    # one row template per start: "%.15g" % v is f"{v:.15g}" for every float
+    row = "%d," + ",".join(["%.15g"] * 2 * len(coords)) + "\n"
+    text = ",".join(["index", *coords, *["v" + c for c in coords]]) + "\n" + "".join(
+        [row % (i, *p, *v) for i, (p, v) in enumerate(zip(pos.tolist(), vel.tolist()))])
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, (sc.output.basename or "run") + "_samples.csv")

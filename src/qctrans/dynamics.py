@@ -52,7 +52,6 @@ computed anyway, and their values discarded when the step halves or stops,
 so no output bit depends on where the guard runs.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +75,6 @@ STATUS_NAMES = {
 }
 
 _METHODS = {"rk45_adaptive": kernels.RK45_ADAPTIVE, "rk4_fixed": kernels.RK4_FIXED}
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    x: np.ndarray
-    v: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -121,13 +113,6 @@ class Trajectory:
     stop_t: float | None = None
     stop_x: np.ndarray | None = None
     n_steps: int = 0
-
-    @property
-    def samples(self) -> list[TrajectoryState]:
-        return [
-            TrajectoryState(self.x[i].copy(), self.v[i].copy(), float(self.t[i]))
-            for i in range(len(self.t))
-        ]
 
     @property
     def completed(self) -> bool:
@@ -486,17 +471,9 @@ def integrate_transition(system: WaveField, coupling, state0, t_grid,
                          integrator: IntegratorConfig | None = None,
                          stencil: StencilConfig | None = None,
                          use_closed: bool = True) -> Trajectory:
-    """Integrate d2x/dt2 = -grad(V + P(t) Q) from (x0, v0) over t_grid.
-
-    ``state0`` is a TrajectoryState or an (x0, v0) pair; state0.t, when
-    given, must equal t_grid[0].
+    """Integrate d2x/dt2 = -grad(V + P(t) Q) from ``state0``, the pair
+    (x0, v0) at t_grid[0], over t_grid.
     """
-    if isinstance(state0, TrajectoryState):
-        x0, v0 = state0.x, state0.v
-        if not math.isclose(state0.t, float(np.asarray(t_grid).reshape(-1)[0]),
-                            rel_tol=0.0, abs_tol=1e-12):
-            raise InvalidParameterError("state0.t must equal t_grid[0]")
-    else:
-        x0, v0 = state0
+    x0, v0 = state0
     return _run(kernels.TRANSITION, system, coupling, x0, v0, t_grid,
                 integrator, stencil, use_closed)

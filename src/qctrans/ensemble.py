@@ -127,7 +127,7 @@ _KS_AXES = {
 _KS_CELLS = {"double_slit": 4096, "oscillator_2d": 4096, "hydrogen": 1024}
 
 
-def _axis_samples(system, axis, x):
+def _axis_samples(axis, x):
     if axis == "x":
         return x[:, 0]
     if axis in ("radius", "s"):
@@ -161,7 +161,7 @@ def distribution_metrics(system: WaveField, trajectories, t_grid) -> dict:
                     system, float(t_grid[i]), axis="z" if axis == "z" else "auto"
                 )
                 cdf = GridCDF(fn, lo, hi, n_cells=_KS_CELLS[system.kind])
-            vals.append(ks_distance(_axis_samples(system, axis, x[:, j]), cdf.cdf))
+            vals.append(ks_distance(_axis_samples(axis, x[:, j]), cdf.cdf))
         out["ks"][axis] = vals
     return out
 

@@ -453,26 +453,25 @@ def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
 # top-level export
 # ---------------------------------------------------------------------------
 
-def export_result(result: EnsembleResult, directory=None, formats=None) -> list:
-    """Write all configured artifacts; returns the paths written."""
+def export_result(result: EnsembleResult) -> list:
+    """Write the artifacts the scenario's output section names into its
+    directory; returns the paths written."""
     sc = result.scenario
     out = sc.output
-    directory = out.directory if directory is None else directory
-    formats = out.formats if formats is None else tuple(formats)
-    os.makedirs(directory, exist_ok=True)
-    base = os.path.join(directory, out.basename or "run")
+    os.makedirs(out.directory, exist_ok=True)
+    base = os.path.join(out.directory, out.basename or "run")
     paths = []
-    if "csv" in formats:
+    if "csv" in out.formats:
         write_trajectories_csv(result, base + ".csv")
         paths.append(base + ".csv")
-    if "json" in formats:
+    if "json" in out.formats:
         write_result_json(result, base + ".json")
         paths.append(base + ".json")
-    if "svg" in formats:
+    if "svg" in out.formats:
         write_trajectories_svg(result, base + ".svg")
         paths.append(base + ".svg")
     if out.field is not None:
-        paths += _write_field(compute_field(sc.system, out.field), sc, base, formats)
+        paths += _write_field(compute_field(sc.system, out.field), sc, base, out.formats)
     return paths
 
 

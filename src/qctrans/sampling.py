@@ -44,6 +44,9 @@ from .systems import WaveField, _integer, _number, _shown
 
 _MAX_RETRIES = 10
 _BLOCK = 1 << 13  # points per bulk density evaluation
+_CDF_TOL = 1e-12  # relative change of a GridCDF's mass at which its cells stop halving
+_CDF_MAX_CELLS = 1 << 19
+_PPF_TOL = 1e-10  # |F - level| at which a quantile is found
 
 
 def _by_rows(f, x, rows):
@@ -129,11 +132,12 @@ class GridCDF:
 
     The density is evaluated once per abscissa, at the nodes and cell
     midpoints of a uniform grid.  The cells halve until the composite
-    Simpson mass is stable to 1e-12 relative; the old midpoints become
-    nodes, so an N-cell table costs 2N + 1 density values.  After
-    construction every answer reads the table: ``cdf`` adds the exact
-    integral of the partial cell's Simpson parabola, so the CDF is
-    continuous at every node, and ``mean``/``var`` are Simpson sums.
+    Simpson mass is stable to ``_CDF_TOL`` relative, or up to
+    ``_CDF_MAX_CELLS`` cells; the old midpoints become nodes, so an N-cell
+    table costs 2N + 1 density values.  After construction every answer
+    reads the table: ``cdf`` adds the exact integral of the partial cell's
+    Simpson parabola, so the CDF is continuous at every node, and
+    ``mean``/``var`` are Simpson sums.
     Quantiles are found by bisection from the full symmetric interval, so an
     antisymmetric-density midpoint level hits the centre exactly.
 
@@ -144,7 +148,7 @@ class GridCDF:
     abscissae at a time.
     """
 
-    def __init__(self, fn, lo, hi, n_cells=4096, tol=1e-12, max_cells=1 << 19):
+    def __init__(self, fn, lo, hi, n_cells=4096):
         self.lo = float(lo)
         self.hi = float(hi)
         n = int(n_cells)
@@ -156,9 +160,8 @@ class GridCDF:
             f_mids = np.asarray(fn(mids), dtype=float)
             cells = _simpson_cells(nodes, f_nodes, f_mids)
             total = float(cells.sum())
-            if total_prev is not None and abs(total - total_prev) <= tol * max(total, 1e-300):
-                break
-            if n >= max_cells:
+            tol = _CDF_TOL * max(total, 1e-300)
+            if n >= _CDF_MAX_CELLS or (total_prev is not None and abs(total - total_prev) <= tol):
                 break
             total_prev = total
             nodes = _interleave(nodes, mids)
@@ -185,8 +188,9 @@ class GridCDF:
                                   + u * (2.0 / 3.0) * (f0 - 2.0 * fm + f1)))
         return np.clip((self.cum[idx] + part) / self.total, 0.0, 1.0)
 
-    def ppf(self, levels, tol=1e-10):
-        """Inverse CDF by bisection; stops at |F - level| <= tol per point."""
+    def ppf(self, levels):
+        """Inverse CDF by bisection; stops at |F - level| <= ``_PPF_TOL`` per
+        point."""
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if np.any((levels <= 0) | (levels >= 1)):
             raise InvalidParameterError("quantile levels must lie in (0, 1)")
@@ -195,7 +199,7 @@ class GridCDF:
         mid = 0.5 * (lo + hi)
         for _ in range(200):
             f = self.cdf(mid) - levels
-            done = np.abs(f) <= tol
+            done = np.abs(f) <= _PPF_TOL
             if done.all():
                 break
             hi = np.where(f > 0, mid, hi)
@@ -328,9 +332,24 @@ def estimate_envelope(system: WaveField, domain, t, margin):
     return float(np.max(_by_rows(row_max, axes[0], rows))) * margin
 
 
-def _fixed_start(system: WaveField, sampler: SamplerConfig):
-    """The fixed mode's positions and velocities (None if not given) as
-    (n, dim) arrays, checked against n and against each other."""
+def _start(system: WaveField, sampler: SamplerConfig):
+    """Check the sampler's section against the system, as ``build_scenario``
+    and both samplers do, so a section gets one verdict; returns the fixed
+    mode's positions and velocities (None if not given) as (n, dim) arrays,
+    and (None, None) in the other modes.
+
+    A given domain is checked by ``_domain``; the default one is not built
+    here, so the check costs no envelope scan and no hydrogen box."""
+    if sampler.domain is not None:
+        _domain(system, sampler)
+    for key in ("positions", "velocities"):
+        if getattr(sampler, key) is not None and sampler.mode != "fixed":
+            raise ConfigurationError(f"only the fixed mode takes {key}, mode is {sampler.mode!r}",
+                                     path=f"ensemble.{key}")
+    if sampler.mode == "quantile_1d" and system.dim != 1:
+        raise ConfigurationError("quantile_1d requires a 1D system", path="ensemble.mode")
+    if sampler.mode != "fixed":
+        return None, None
     pos = np.asarray(sampler.positions, dtype=float).reshape(-1, system.dim)
     if pos.shape[0] != sampler.n:
         raise ConfigurationError(
@@ -350,13 +369,10 @@ def _fixed_start(system: WaveField, sampler: SamplerConfig):
 
 def sample_positions(system: WaveField, sampler: SamplerConfig, t_start=0.0):
     """Draw n start positions distributed as |psi(. , t_start)|^2."""
-    if sampler.mode == "fixed":
-        return _fixed_start(system, sampler)[0].copy()
+    pos = _start(system, sampler)[0]
+    if pos is not None:
+        return pos.copy()
     if sampler.mode == "quantile_1d":
-        if system.dim != 1:
-            raise ConfigurationError(
-                "quantile_1d requires a 1D system", path="ensemble.mode"
-            )
         dom = _domain(system, sampler)[0]
         cdf = GridCDF(marginal_density_1d(system, t_start)[0], dom[0], dom[1])
         levels = (np.arange(sampler.n) + 0.5) / sampler.n
@@ -409,12 +425,12 @@ def _rejection_sample(system, sampler, t_start, n, rng):
 
 
 def initial_velocities(system: WaveField, positions, t_start=0.0, stencil=None,
-                       mode="quantile_1d", resample=None):
+                       resample=None):
     """grad S at each start position, with node-guard retries.
 
-    Guarded positions are perturbed by the stencil step (``quantile_1d`` /
-    ``fixed`` modes) or replaced via the ``resample`` callable (``rejection``),
-    at most 10 times each.  Returns (positions, velocities); positions may
+    Guarded positions are replaced by ``resample()`` when it is given (the
+    rejection sampler's redraw), else perturbed by the stencil step, at most
+    10 times each.  Returns (positions, velocities); positions may
     differ from the input where retries fired.
     """
     st = stencil or DEFAULT_STENCIL
@@ -423,7 +439,7 @@ def initial_velocities(system: WaveField, positions, t_start=0.0, stencil=None,
     for i in np.flatnonzero(~ok):
         x = pos[i].copy()
         for attempt in range(1, _MAX_RETRIES + 1):
-            if mode == "rejection" and resample is not None:
+            if resample is not None:
                 x = resample()
             else:
                 x = x + st.h
@@ -442,16 +458,17 @@ def sample_initial_conditions(system: WaveField, sampler: SamplerConfig, t_start
     """Positions from the configured sampler plus grad-S velocities.
 
     In ``fixed`` mode explicit velocities (when given) bypass the grad-S
-    computation, which is how classical-analytic scenarios pin v0.
+    computation, which is how classical-analytic scenarios pin v0.  The
+    section is checked (``_start``) before any envelope scan.
     """
+    pos, vel = _start(system, sampler)
+    if vel is not None:
+        return pos.copy(), vel.copy()
     if sampler.mode == "rejection" and sampler.envelope is None:
         # one envelope scan serves the ensemble and every guarded-start redraw
         env = estimate_envelope(system, _domain(system, sampler), t_start,
                                 sampler.envelope_margin)
         sampler = replace(sampler, envelope=env)
-    if sampler.mode == "fixed" and sampler.velocities is not None:
-        pos, vel = _fixed_start(system, sampler)
-        return pos.copy(), vel.copy()
     pos = sample_positions(system, sampler, t_start)
     resample = None
     if sampler.mode == "rejection":
@@ -460,5 +477,5 @@ def sample_initial_conditions(system: WaveField, sampler: SamplerConfig, t_start
         def resample():
             return _rejection_sample(system, sampler, t_start, 1, retry_rng)[0]
 
-    pos, vel = initial_velocities(system, pos, t_start, stencil, sampler.mode, resample)
+    pos, vel = initial_velocities(system, pos, t_start, stencil, resample)
     return pos, vel

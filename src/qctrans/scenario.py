@@ -26,9 +26,8 @@ from .coupling import Constant, GaussianCDF, Logistic
 from .dynamics import _METHODS, IntegratorConfig
 from .errors import ConfigurationError, InvalidParameterError
 from .fields import StencilConfig
-from .sampling import SamplerConfig, _fixed_start
-from .systems import (DoubleSlitParams, HydrogenParams, Oscillator2DParams, WaveField,
-                      _finite, _integer, _number, _shown)
+from .sampling import SamplerConfig, _start
+from .systems import _KINDS as _SYSTEMS, WaveField, _finite, _integer, _number, _shown
 
 MODES = ("guidance", "transition", "classical")
 QUANTITIES = ("rho", "S", "Q")
@@ -159,8 +158,6 @@ _TYPES = {
     tuple: (_is_pair, "[lo, hi] with lo < hi", lambda v: (float(v[0]), float(v[1]))),
 }
 
-_SYSTEMS = {"double_slit": DoubleSlitParams, "oscillator_2d": Oscillator2DParams,
-            "hydrogen": HydrogenParams}
 _COUPLINGS = {"logistic": Logistic, "gaussian_cdf": GaussianCDF, "constant": Constant}
 
 
@@ -276,27 +273,15 @@ def _build_ensemble(d, system) -> SamplerConfig:
     if "domain" in d:
         if not isinstance(d["domain"], (list, tuple)):
             raise ConfigurationError("expected a list of [lo, hi] pairs", path="ensemble.domain")
-        domain = tuple(_read(p, f"ensemble.domain[{i}]", tuple) for i, p in enumerate(d["domain"]))
-        if len(domain) != system.dim:
-            raise ConfigurationError(
-                f"domain has {len(domain)} dimensions, system has {system.dim}",
-                path="ensemble.domain",
-            )
-        kw["domain"] = domain
+        kw["domain"] = tuple(_read(p, f"ensemble.domain[{i}]", tuple)
+                             for i, p in enumerate(d["domain"]))
     for key in ("positions", "velocities"):
         if key in d:
             kw[key] = _points(d[key], key, system.dim)
     if "positions" in kw:
         kw["n"] = len(kw["positions"])
     sampler = _section(d, "ensemble", SamplerConfig, ("domain", "positions", "velocities"), **kw)
-    for key in ("positions", "velocities"):
-        if key in d and sampler.mode != "fixed":
-            raise ConfigurationError(f"only the fixed mode takes {key}, mode is {sampler.mode!r}",
-                                     path=f"ensemble.{key}")
-    if sampler.mode == "quantile_1d" and system.dim != 1:
-        raise ConfigurationError("quantile_1d requires a 1D system", path="ensemble.mode")
-    if sampler.mode == "fixed":
-        _fixed_start(system, sampler)
+    _start(system, sampler)  # the samplers' own checks of the section
     return sampler
 
 

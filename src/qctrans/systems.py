@@ -38,7 +38,7 @@ one verdict everywhere; ``_shown`` quotes a rejected value in a message
 without raising.
 """
 
-import inspect
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -129,6 +129,7 @@ class HydrogenParams:
             raise InvalidParameterError(f"l must satisfy 0 <= l < n, got l={self.l}, n={self.n}")
         if abs(self.m) > self.l:
             raise InvalidParameterError(f"|m| must be <= l, got m={self.m}, l={self.l}")
+        _hydrogen_norms(self.n, self.l, self.m)
 
     @property
     def energy(self) -> float:
@@ -155,7 +156,7 @@ class WaveField:
             # the normalisations, once per state, for the kernel's density
             # and the array one alike
             self._par = np.array([float(params.n), float(params.l), float(params.m),
-                                  *_hydrogen_norms(params.n, params.l, abs(params.m))])
+                                  *_hydrogen_norms(params.n, params.l, params.m)])
         else:
             raise InvalidParameterError(f"unknown system kind {_shown(kind)}")
 
@@ -234,16 +235,18 @@ def hydrogen(n=2, l=1, m=1) -> WaveField:
     return WaveField("hydrogen", HydrogenParams(n, l, m))
 
 
+# the system kinds, each with its params dataclass
+_KINDS = {"double_slit": DoubleSlitParams, "oscillator_2d": Oscillator2DParams,
+          "hydrogen": HydrogenParams}
+
+
 def make_system(kind: str, **params) -> WaveField:
-    makers = {"double_slit": double_slit, "oscillator_2d": oscillator_2d, "hydrogen": hydrogen}
-    if kind not in makers:
+    if kind not in _KINDS:
         raise InvalidParameterError(f"unknown system kind {_shown(kind)}")
-    maker = makers[kind]
-    known = set(inspect.signature(maker).parameters)
-    extra = set(params) - known
+    extra = set(params) - {f.name for f in dataclasses.fields(_KINDS[kind])}
     if extra:
         raise InvalidParameterError(f"unknown {kind} parameter(s): {sorted(extra)}")
-    return maker(**params)
+    return WaveField(kind, _KINDS[kind](**params))
 
 
 def _raise_where(singular, message):
@@ -363,18 +366,35 @@ def oscillator_qpot_closed(p: Oscillator2DParams, x, y):
 # hydrogen
 # ---------------------------------------------------------------------------
 
-def _hydrogen_norms(n, l, ma):
+def _hydrogen_norms(n, l, m):
     """(c_rad, N_lm) = ((2/n^2) / sqrt((n-l)...(n+l)),
     sqrt((2l+1) / (4 pi) / ((l-|m|+1)...(l+|m|)))): the normalisations of
-    R_nl and of N_lm P_l^|m|, which ``WaveField`` computes once per state."""
-    fr = 1.0
-    for i in range(n - l, n + l + 1):
-        fr *= i
-    fa = 1.0
-    for i in range(l - ma + 1, l + ma + 1):
-        fa *= i
-    # int / int, so an n whose square is beyond the float range gives 0.0
-    return (2 / n**2) / math.sqrt(fr), math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa)
+    R_nl and of N_lm P_l^|m|, which ``WaveField`` computes once per state.
+
+    Each product stops at its first overflow, at most ~1000 factors in, so
+    an l near the float range costs no loop of 2l + 1 factors; the state is
+    then rejected, as is any whose normalisation is not a positive float."""
+    fr = _product(range(n - l, n + l + 1))
+    fa = _product(range(l - abs(m) + 1, l + abs(m) + 1))
+    # int / int, so an n whose square is beyond the float range gives 0.0, as
+    # does the inf fr of an l whose 2l + 1 N_lm could not convert to a float
+    c_rad = (2 / n**2) / math.sqrt(fr)
+    norms = c_rad, (math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa) if c_rad else 0.0)
+    if not min(norms) > 0:
+        raise InvalidParameterError(
+            f"(n, l, m) = ({n}, {l}, {m}) has a normalisation of {min(norms)!r}, "
+            "not a positive float")
+    return norms
+
+
+def _product(factors):
+    """The float product of the int factors, inf from its first overflow on."""
+    p = 1.0
+    for i in factors:
+        p *= i
+        if p == math.inf:
+            break
+    return p
 
 
 # the recurrences of the kernel's density, for arrays

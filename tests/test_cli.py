@@ -46,6 +46,12 @@ def _cfg(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def _src_env():
+    """The environment of a subprocess that imports this qctrans."""
+    src = os.path.dirname(os.path.dirname(qt.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _read_csv_rows(path):
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
@@ -85,6 +91,26 @@ def test_validate_rejects_a_hydrogen_n_beyond_the_float_range(tmp_path, capsys):
     doc = {"system": {"type": "hydrogen", "n": 10**400, "l": 0, "m": 0}, "mode": "guidance"}
     assert main(["validate", "--config", _cfg(tmp_path, doc)]) == 1
     assert "error: system.n: expected an integer, got 1000" in capsys.readouterr().err
+
+
+# hydrogen states whose normalisation is not a positive float: the first
+# took 2l + 1 multiplications to build, the next two passed validate and
+# failed in sample, and the last overflowed converting 2l + 1 to a float
+_NO_NORMALISATION = {"l_1e19": (10**20, 10**19, 0), "n_1e200": (10**200, 0, 0),
+                     "n_90": (90, 89, 89), "l_1e308": (10**308, 10**308 - 1, 0)}
+
+
+@pytest.mark.parametrize("n,l,m", _NO_NORMALISATION.values(), ids=_NO_NORMALISATION)
+def test_validate_rejects_a_hydrogen_state_without_a_normalisation(tmp_path, n, l, m):
+    # in a subprocess with a timeout, so a state that hangs fails the test
+    doc = {"system": {"type": "hydrogen", "n": n, "l": l, "m": m}, "mode": "guidance",
+           "ensemble": {"n": 2}}
+    proc = subprocess.run([sys.executable, "-m", "qctrans.cli", "validate", "--config",
+                           _cfg(tmp_path, doc)], capture_output=True, text=True,
+                          env=_src_env(), timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: system: (n, l, m) = ({n}, {l}, {m}) has a normalisation "
+                           "of 0.0, not a positive float\n")
 
 
 def test_validate_bad_value_exits_1(tmp_path, capsys):
@@ -310,10 +336,8 @@ def test_import_loads_neither_urllib_nor_concurrent_futures():
     # bring it in
     code = ("import sys, qctrans, qctrans.cli; "
             "print([m for m in ('urllib.request', 'concurrent.futures') if m in sys.modules])")
-    src = os.path.dirname(os.path.dirname(qt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -410,8 +410,9 @@ def test_monitor_summaries_match_per_trajectory_oracle(kind):
             d.monitors["energy"] for d in res.diagnostics]
 
 
-# sha256 of every file ``qctrans simulate --formats csv,json,svg`` writes for
-# the presets that are not hydrogen, as written by the per-value writers
+# sha256 of every file ``qctrans simulate --formats csv,json,svg`` and
+# ``qctrans sample --out`` write for the presets that are not hydrogen, as
+# written by the per-value writers
 _PRESET_DIGESTS = {
     "fig1.csv": "61b04aeba8db8550a4e2ef830b1cf365c49342e6534b3bb3d0238cd808a8ea4e",
     "fig1.json": "cc6aee03f15b8a55a63b62a27c711b34543213295d927f7eb9ec7ba400a82b02",
@@ -419,46 +420,59 @@ _PRESET_DIGESTS = {
     "fig1_classical.csv": "c337fafa929976cb821b2150659e90c22c05b480219f678a29e2265f5665ea7e",
     "fig1_classical.json": "0eafdc9dac6edaeba12773df5bd3be7fe18f77841e22e1c5a54f7480b9558df6",
     "fig1_classical.svg": "13ee0493d5f23547c49ad884c91c923f0b8ebf4ddfeb8b6363062beaf04b9b8c",
+    "fig1_classical_samples.csv": "5c3601410679c51e3add855d51e8197b87ce62d5a9f4ccfb2c8c333dd6d9d8e0",
     "fig1_meso_a.csv": "9d2cb87e817f608a997e003972120906b40e8a9b3b4cac8dca049e043d182dcc",
     "fig1_meso_a.json": "0fba6bc30150fad556122b67ffd60c0e24ed041e473868fe7fac79cc31699bba",
     "fig1_meso_a.svg": "ddd4d526901bd69aa8c081625fd14eacc9c3f36a1a62c001ae3cea0b2f9cdd4c",
+    "fig1_meso_a_samples.csv": "5c3601410679c51e3add855d51e8197b87ce62d5a9f4ccfb2c8c333dd6d9d8e0",
     "fig1_quantum.csv": "61b04aeba8db8550a4e2ef830b1cf365c49342e6534b3bb3d0238cd808a8ea4e",
     "fig1_quantum.json": "1ac932c9f1185b47964a79fce87a562116b99bea96df6377ce0762468615af7e",
     "fig1_quantum.svg": "67a2d7ceb4943d01cefb8058e9dac2aacfe95c296e8906c4f1e06204ff7b0274",
+    "fig1_quantum_samples.csv": "5c3601410679c51e3add855d51e8197b87ce62d5a9f4ccfb2c8c333dd6d9d8e0",
+    "fig1_samples.csv": "5c3601410679c51e3add855d51e8197b87ce62d5a9f4ccfb2c8c333dd6d9d8e0",
     "fig3.csv": "453c121a91cccda269a2074a099095d60f1c0b1c5da6cfdf81987a93a302b180",
     "fig3.json": "68147065a73f9494bbf6159813c6c4911e4de94f165fb7668aa1c958955ba08d",
     "fig3.svg": "6b6e44d9b1c6a0c17276914c5df800654ef79cfb44dacc97b1dd92c3e2244bf7",
     "fig3_classical.csv": "9bc6a8020807a24b5d90b4c712748e775a01fefa1f2b3a10d8ecc2e2c12157d8",
     "fig3_classical.json": "78c956a6c2147c1c9a919d672bbe03f92032ed1e8ce920335c442a374204a349",
     "fig3_classical.svg": "d73a0a34e1224dc1f50191d5c9a41d42833fb5336698b3cba7c9125a291c7277",
+    "fig3_classical_samples.csv": "43833a2b1b4e8205f0d69ee703f4a15c1e54ec493f3a6759bd470ff610e3cc95",
     "fig3_meso_a.csv": "ac5bce63e2c22c4bfc9e91c2d75156afac437f036f22077bf6b078d0a834bbb2",
     "fig3_meso_a.json": "49541fce936e372b14ec590c1c1d3fa953e70a99a3d7c2adf34336fcc3864f07",
     "fig3_meso_a.svg": "5f878550f31f4a2f4a3907f84958ce88bc8d697d8d84307eb802664010beac83",
+    "fig3_meso_a_samples.csv": "43833a2b1b4e8205f0d69ee703f4a15c1e54ec493f3a6759bd470ff610e3cc95",
     "fig3_meso_b.csv": "c898eb815ae77908c613a071367f451937af953dbc8c5c1fc5625d8b89e356f3",
     "fig3_meso_b.json": "bdb804150cb206bbba0369ab6957cd6f8c603f8e3a7ca7113b07cd0b1a13019d",
     "fig3_meso_b.svg": "be4a56d6ab280d65f17b473941a4adcea6182816c1a81ca5439b0ed5b52bf3ae",
+    "fig3_meso_b_samples.csv": "43833a2b1b4e8205f0d69ee703f4a15c1e54ec493f3a6759bd470ff610e3cc95",
     "fig3_quantum.csv": "453c121a91cccda269a2074a099095d60f1c0b1c5da6cfdf81987a93a302b180",
     "fig3_quantum.json": "59864f2d48007936a128b402a03426411795badb3097b774116b00e3eb4bba90",
     "fig3_quantum.svg": "6b6e44d9b1c6a0c17276914c5df800654ef79cfb44dacc97b1dd92c3e2244bf7",
+    "fig3_quantum_samples.csv": "43833a2b1b4e8205f0d69ee703f4a15c1e54ec493f3a6759bd470ff610e3cc95",
+    "fig3_samples.csv": "43833a2b1b4e8205f0d69ee703f4a15c1e54ec493f3a6759bd470ff610e3cc95",
     "fig4.csv": "566b37925ed8d4c70b5d681b382a48a0c89824da9d01d97e3aae6d86f823e292",
     "fig4.json": "9a3d41510d5ca454b092d97477a6acb0606a6fb88970d8c1fd689179d5d2303c",
     "fig4.svg": "02f6494e32a2145fa18120206491da26fcbc47079864fd6753ad82e9b769a47e",
     "fig4_field.csv": "2903de27262b46cf6b6c5e167e75269d2fb5d7453a8978e94811c4b7ade8a157",
     "fig4_field.svg": "a6e8de672ecc056230b6a348ccfa380d51c1fd9ec22ce75d91cf027319a0f12e",
+    "fig4_samples.csv": "ab5385a3b7e85ebc44f6d514b610899bd136042bc87e01738ced77735afcd2a0",
     "fig5.csv": "f61b910e4f30953ddb8bfc20c1f2e0fc58446581694c8dc18df9393f8defb560",
     "fig5.json": "d9b7b2a1579c70670dde16574b6e6e39e4b8b7066feff3e34fb39e89e8dc367a",
     "fig5.svg": "5a99ef49f948af8a678f72921682365d61c33579780cc531c7821bf444d979b2",
     "fig5_field.csv": "d5dc778dfb81574b3bce8783de25921d576c2dcac5716759f9272d7d5d6abd83",
     "fig5_field.svg": "2e1110dd5398dac04d2db64087eccfd9e0d6a148cd2bba403f71322e36538269",
+    "fig5_samples.csv": "43833a2b1b4e8205f0d69ee703f4a15c1e54ec493f3a6759bd470ff610e3cc95",
 }
 
 
 def test_simulate_preset_files_keep_their_bytes(tmp_path, capsys):
-    presets = sorted({name.split(".")[0].removesuffix("_field") for name in _PRESET_DIGESTS})
+    presets = sorted({name.split(".")[0].removesuffix("_field").removesuffix("_samples")
+                      for name in _PRESET_DIGESTS})
     assert len(presets) == 11
     for preset in presets:
         assert main(["simulate", "--preset", preset, "--out", str(tmp_path),
                      "--formats", "csv,json,svg"]) == 0
+        assert main(["sample", "--preset", preset, "--out", str(tmp_path)]) == 0
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in os.listdir(tmp_path)}
     assert got == _PRESET_DIGESTS

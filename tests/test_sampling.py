@@ -450,14 +450,39 @@ def test_node_retry_rejection_resamples():
         calls.append(1)
         return np.array([1.0, 0.0])
 
-    pos, vel = initial_velocities(osc, [[0.0, 0.0]], 0.0, mode="rejection",
-                                  resample=resample)
+    pos, vel = initial_velocities(osc, [[0.0, 0.0]], 0.0, resample=resample)
     assert len(calls) == 1
     assert np.array_equal(pos, [[1.0, 0.0]])
     assert vel[0] == pytest.approx([0.0, 1.0], abs=1e-8)
 
 
 # --- config validation --------------------------------------------------------
+
+# (system, ensemble section) pairs that build_scenario refuses; the samplers
+# refuse the SamplerConfig of the same section with the same message
+_SECTION_ERRORS = {
+    "positions_rejection": ("oscillator_2d", {"mode": "rejection", "n": 2,
+                                              "positions": [[1.0, 0.0], [0.0, 2.0]]}),
+    "positions_quantile": ("double_slit", {"mode": "quantile_1d", "n": 1, "positions": [[0.5]]}),
+    "velocities": ("oscillator_2d", {"mode": "rejection", "n": 1, "velocities": [[1.0, 0.0]]}),
+    "quantile_2d": ("oscillator_2d", {"mode": "quantile_1d", "n": 4}),
+    "domain_dims": ("double_slit", {"mode": "rejection", "n": 4,
+                                    "domain": [[0.0, 1.0], [0.0, 1.0]]}),
+    "fixed_count": ("oscillator_2d", {"mode": "fixed", "n": 5,
+                                      "positions": [[1.0, 0.0], [0.0, 2.0]]}),
+}
+
+
+@pytest.mark.parametrize("kind,section", _SECTION_ERRORS.values(), ids=_SECTION_ERRORS)
+def test_samplers_give_a_section_the_verdict_of_build_scenario(kind, section):
+    with pytest.raises(qt.ConfigurationError) as built:
+        qt.build_scenario({"system": {"type": kind}, "mode": "guidance", "ensemble": section})
+    system, sampler = qt.make_system(kind), qt.SamplerConfig(**section)
+    for sample in (qt.sample_positions, sample_initial_conditions):
+        with pytest.raises(qt.ConfigurationError) as got:
+            sample(system, sampler)
+        assert str(got.value) == str(built.value)
+
 
 @pytest.mark.parametrize("kwargs", [
     {"mode": "halton"},

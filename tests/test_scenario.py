@@ -645,6 +645,14 @@ def test_document_tables_cover_every_type_and_checked_path():
 @given(_documents())
 @example({"system": {"type": "hydrogen", "n": 10**400, "l": 0, "m": 0}, "mode": "guidance"})
 @example({"system": {"type": "hydrogen", "n": 10**300, "l": 0, "m": 0}, "mode": "guidance"})
+@example({"system": {"type": "hydrogen", "n": 10**20, "l": 10**19, "m": 0}, "mode": "guidance",
+          "ensemble": {"n": 2}})
+@example({"system": {"type": "hydrogen", "n": 10**200, "l": 0, "m": 0}, "mode": "guidance",
+          "ensemble": {"n": 2}})
+@example({"system": {"type": "hydrogen", "n": 90, "l": 89, "m": 89}, "mode": "guidance",
+          "ensemble": {"n": 2}})
+@example({"system": {"type": "hydrogen", "n": 10**308, "l": 10**308 - 1, "m": 0},
+          "mode": "guidance", "ensemble": {"n": 2}})
 @example({"system": {"type": "double_slit", "rho0": 10**400}, "mode": "guidance"})
 @example(_trans({"type": "logistic", "b": 10**400, "t0": 0}))
 @example(_with(ensemble={"seed": 10**400, "domain": [[0, 10**400]]}))

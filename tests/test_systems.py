@@ -443,7 +443,21 @@ def test_vortex_velocity_shared_form():
     lambda: qt.make_system("oscillator_2d", k0=0.0),
     lambda: qt.make_system("double_slit", rho0=-1.0),
     lambda: qt.make_system("double_slit", bogus=1.0),
+    lambda: qt.hydrogen(90, 89, 89),  # both normalisations underflow to 0.0
+    lambda: qt.hydrogen(10**308, 10**308 - 1, 0),  # 2l + 1 is no float
 ])
 def test_invalid_system_parameters(call):
     with pytest.raises(qt.InvalidParameterError):
         call()
+
+
+@pytest.mark.parametrize("n,l,m", [(1, 0, 0), (2, 1, 1), (3, 2, -1), (85, 84, 84), (10**6, 0, 0)])
+def test_hydrogen_norms_keep_the_bits_of_the_full_products(n, l, m):
+    # 169! is the largest factorial product below the float range
+    fr = fa = 1.0
+    for i in range(n - l, n + l + 1):
+        fr *= i
+    for i in range(l - abs(m) + 1, l + abs(m) + 1):
+        fa *= i
+    assert qs._hydrogen_norms(n, l, m) == (
+        (2 / n**2) / math.sqrt(fr), math.sqrt((2 * l + 1) / (4.0 * math.pi) / fa))

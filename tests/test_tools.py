@@ -1,13 +1,25 @@
-"""tools/code_lines.py, the code-line count the code size is measured by."""
+"""tools/code_lines.py, the code-line count the code size is measured by, and
+tools/preset_digests.py, the digests of the files the presets write."""
+import hashlib
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "code_lines", Path(__file__).resolve().parents[1] / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+from qctrans.cli import main
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _tool("code_lines")
+preset_digests = _tool("preset_digests")
 
 
 def _count(tmp_path, source):
@@ -44,3 +56,21 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == [f"     2  {tmp_path / 'a.py'}", f"     1  {tmp_path / 'sub' / 'b.py'}",
                    f"     3  {tmp_path} (total)"]
+
+
+def test_preset_digests_hash_every_file_simulate_and_sample_write(tmp_path, capsys):
+    assert preset_digests.main(["fig1_quantum"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["simulate", "--preset", "fig1_quantum", "--out", str(tmp_path),
+                 "--formats", "csv,json,svg"]) == 0
+    assert main(["sample", "--preset", "fig1_quantum", "--out", str(tmp_path)]) == 0
+    files = sorted(os.listdir(tmp_path))
+    assert files == ["fig1_quantum.csv", "fig1_quantum.json", "fig1_quantum.svg",
+                     "fig1_quantum_samples.csv"]
+    assert lines == [f"{hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()}  {f}"
+                     for f in files]
+
+
+def test_preset_digests_raise_on_a_failing_preset():
+    with pytest.raises(RuntimeError, match="qctrans simulate --preset fig99 exited 1"):
+        preset_digests.main(["fig99"])
