@@ -227,8 +227,9 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
         status[i] = code
         filled[i] = off + nf
         steps[i] = done + n_more
-        stop_t[i] = s_t
-        stop_x[i] = s_x[:dim]
+        if code != kernels.COMPLETED:
+            stop_t[i] = s_t
+            stop_x[i] = s_x[:dim]
 
     if n <= handoff:
         # so few rows go to the kernel whole, start guard and sample 0 included

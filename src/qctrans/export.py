@@ -19,10 +19,18 @@ centred on zero, otherwise the sequential ramp #440154 #3b528b #21918c
 #5ec962 #fde725.  Values are clipped to the 2nd-98th percentile of the
 finite cells (singular blowups would otherwise own the whole scale) and the
 clip range is printed in the annotation line.  Masked cells (node guard or
-density underflow) render light gray.  Every cell's color comes from one
-array pass over the grid, with each distinct color, column and row
-coordinate formatted once; heatmaps and field CSVs are written to the file
-one grid row at a time.
+density underflow) render light gray.
+
+Field maps follow the block rule of ``sampling``'s bulk |psi|^2
+evaluations: ``compute_field`` evaluates the grid in blocks of whole rows,
+as many as fit in ``sampling._BLOCK`` cells and at least one, into one
+values array, and the heatmap colors one block of rows at a time in one
+array pass, with each distinct color (through one table per grid), column
+and row coordinate formatted once.  Heatmaps and field CSVs are written to
+the file one grid row at a time.  Each block goes through the same
+elementwise numpy operations as the whole grid would, so every byte is the
+one a single pass gives, and peak memory is the values array and one
+block's temporaries.
 """
 
 import json
@@ -35,6 +43,7 @@ import numpy as np
 from .ensemble import EnsembleResult, trajectory_monitors
 from .errors import ConfigurationError, InvalidParameterError
 from .fields import StencilConfig, _qpot
+from .sampling import _BLOCK
 from .systems import (
     WaveField,
     _hydrogen_singular_mask,
@@ -171,43 +180,60 @@ def compute_field(system: WaveField, cfg) -> FieldGrid:
 
     1D systems span (x, t); 2D the plane; 3D the configured coordinate plane
     at the configured offset.  Singular and underflowed cells come back NaN.
+    The grid is evaluated in blocks of whole rows, as many as fit in
+    ``_BLOCK`` cells and at least one, into one values array.
     """
     xs = np.linspace(cfg.xlim[0], cfg.xlim[1], cfg.nx)
     ys = np.linspace(cfg.ylim[0], cfg.ylim[1], cfg.ny)
-    gx, gy = np.meshgrid(xs, ys)
+    rest = None  # 3D systems: the axis held at the offset
     if system.dim == 1:
-        # the y axis is time: every row is evaluated at its own t
-        pts, t, note, labels = gx[..., None], gy, "", ("x", "t")
+        note, labels = "", ("x", "t")
     elif system.dim == 2:
-        pts = np.stack([gx, gy], axis=-1)
-        t, note, labels = cfg.t, f"t={cfg.t:.10g}", ("x", "y")
+        note, labels = f"t={cfg.t:.10g}", ("x", "y")
     else:
         labels = {"xy": ("x", "y"), "xz": ("x", "z"), "yz": ("y", "z")}[cfg.plane]
         rest = next(c for c in "xyz" if c not in labels)
+        note = f"plane={cfg.plane} {rest}={cfg.offset:.10g} t={cfg.t:.10g}"
+    vals = np.empty((cfg.ny, cfg.nx))
+    rows = max(1, _BLOCK // cfg.nx)
+    for r in range(0, cfg.ny, rows):
+        gx, gy = np.meshgrid(xs, ys[r : r + rows])
+        vals[r : r + rows] = _field_rows(system, cfg, gx, gy, labels, rest)
+    return FieldGrid(cfg.quantity, *labels, xs, ys, vals, note)
+
+
+def _field_rows(system, cfg, gx, gy, labels, rest):
+    """The field on the grid rows whose coordinates are gx, gy; |psi|^2 is
+    evaluated only where the quantity or its mask reads it."""
+    if system.dim == 1:
+        # the y axis is time: every row is evaluated at its own t
+        pts, t = gx[..., None], gy
+    elif system.dim == 2:
+        pts, t = np.stack([gx, gy], axis=-1), cfg.t
+    else:
         table = {labels[0]: gx, labels[1]: gy, rest: np.full_like(gx, cfg.offset)}
         x3, y3, z3 = table["x"], table["y"], table["z"]
-        pts = np.stack([x3, y3, z3], axis=-1)
-        t, note = cfg.t, f"plane={cfg.plane} {rest}={cfg.offset:.10g} t={cfg.t:.10g}"
+        pts, t = np.stack([x3, y3, z3], axis=-1), cfg.t
+    if cfg.quantity == "Q" and system.dim == 1:
+        q, ok = _qpot(system, pts, t, _FIELD_STENCIL)
+        return np.where(ok, q, np.nan)
     rho = system.rho(pts, t)
     if cfg.quantity == "rho":
-        vals = rho
-    elif cfg.quantity == "S":
-        vals = np.where(rho >= _FIELD_STENCIL.min_rho, np.angle(system.psi(pts, t)), np.nan)
-    elif system.dim == 1:
-        q, ok = _qpot(system, pts, t, _FIELD_STENCIL)
-        vals = np.where(ok, q, np.nan)
+        return rho
+    dense = rho >= _FIELD_STENCIL.min_rho
+    if cfg.quantity == "S":
+        return np.where(dense, np.angle(system.psi(pts, t)), np.nan)
+    vals = np.full(gx.shape, np.nan)
+    p = system.params
+    if system.kind == "oscillator_2d":
+        c = math.cos(p.alpha)
+        g = gx * gx + 2.0 * c * gx * gy + gy * gy
+        good = (g >= 1e-250) & dense
+        vals[good] = oscillator_qpot_closed(p, gx[good], gy[good])
     else:
-        vals = np.full(gx.shape, np.nan)
-        p = system.params
-        if system.kind == "oscillator_2d":
-            c = math.cos(p.alpha)
-            g = gx * gx + 2.0 * c * gx * gy + gy * gy
-            good = (g >= 1e-250) & (rho >= _FIELD_STENCIL.min_rho)
-            vals[good] = oscillator_qpot_closed(p, gx[good], gy[good])
-        else:
-            good = ~_hydrogen_singular_mask(p, x3, y3, z3) & (rho >= _FIELD_STENCIL.min_rho)
-            vals[good] = hydrogen_qpot_closed(p, x3[good], y3[good], z3[good])
-    return FieldGrid(cfg.quantity, *labels, xs, ys, vals, note)
+        good = ~_hydrogen_singular_mask(p, x3, y3, z3) & dense
+        vals[good] = hydrogen_qpot_closed(p, x3[good], y3[good], z3[good])
+    return vals
 
 
 def _check_grid(grid: FieldGrid) -> None:
@@ -243,8 +269,8 @@ def write_field_csv(grid: FieldGrid, path: str, annotation: str = "") -> None:
     pieces = _row_pieces("%.15g\0%%.15g\n", grid.xs.tolist())
     with _open_for_write(path) as fh:
         fh.write("".join(head))
-        for y, row in zip(grid.ys.tolist(), grid.values.tolist()):
-            fh.write((",%.15g," % y).join(pieces) % tuple(row))
+        for y, row in zip(grid.ys.tolist(), grid.values):
+            fh.write((",%.15g," % y).join(pieces) % tuple(row.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +410,12 @@ def _padded(lo, hi):
     return (lo - pad, hi + pad)
 
 
-def _ramp_colors(stops, vals, vmin, vmax):
-    """Fill color of every cell of ``vals``, in one array pass.
+def _ramp_codes(stops, vals, vmin, vmax):
+    """24-bit RGB code of every cell of ``vals``, -1 where it is not finite.
 
     Each finite value maps to u = (v - vmin) / (vmax - vmin), clipped to
     [0, 1] and interpolated linearly between the stops; a channel is rounded
-    half to even.  Returns an object array of color strings, each distinct
-    color formatted once; non-finite cells get the mask color.
+    half to even.
     """
     rgb = np.array([list(bytes.fromhex(s[1:])) for s in stops], dtype=np.int64)
     ok = np.isfinite(vals)
@@ -400,21 +425,20 @@ def _ramp_colors(stops, vals, vmin, vmax):
     chan = np.rint(rgb[i] + f * (rgb[i + 1] - rgb[i])).astype(np.int64)
     code = np.full(vals.shape, -1, dtype=np.int64)
     code[ok] = (chan[:, 0] << 16) | (chan[:, 1] << 8) | chan[:, 2]
-    distinct, which = np.unique(code, return_inverse=True)
-    names = np.array([_MASK_COLOR if c < 0 else "#%06x" % c for c in distinct.tolist()],
-                     dtype=object)
-    return names[which.reshape(vals.shape)]
+    return code
 
 
 def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
-    """Heatmap of a field grid: one rect per cell, written row by row."""
+    """Heatmap of a field grid: one rect per cell, colored one block of rows
+    at a time and written row by row.  Both clip percentiles come from one
+    partition of the finite cells' copy."""
     _check_grid(grid)
     vals = grid.values
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         vmin, vmax = 0.0, 1.0
     else:
-        vmin, vmax = (float(np.percentile(finite, 2)), float(np.percentile(finite, 98)))
+        vmin, vmax = np.percentile(finite, [2, 98], overwrite_input=True).tolist()
         if vmax <= vmin:
             vmin, vmax = float(finite.min()), float(finite.max() or 1.0)
         if vmax <= vmin:
@@ -441,11 +465,20 @@ def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
             f'height="{dy / (cv.y1 - cv.y0) * _PH + 0.5:.2f}" fill="')
     pieces = _row_pieces('\n<rect x="%.2f" y="\0%%s"/>', cv.px(grid.xs - 0.5 * dx).tolist())
     mids = [f"{py:.2f}" + size for py in cv.py(grid.ys - 0.5 * dy + dy).tolist()]
-    colors = _ramp_colors(stops, vals, vmin, vmax)
+    names = {-1: _MASK_COLOR}  # each color's code to its text, formatted once per grid
+    rows = max(1, _BLOCK // grid.xs.size)
     with _open_for_write(path) as fh:
         fh.write("\n".join(cv.parts))
-        for mid, row in zip(mids, colors.tolist()):
-            fh.write(mid.join(pieces) % tuple(row))
+        for r in range(0, len(mids), rows):
+            code = _ramp_codes(stops, vals[r : r + rows], vmin, vmax)
+            distinct, which = np.unique(code, return_inverse=True)
+            for c in distinct.tolist():
+                if c not in names:
+                    names[c] = "#%06x" % c
+            colors = np.array([names[c] for c in distinct.tolist()],
+                              dtype=object)[which.reshape(code.shape)]
+            for mid, row in zip(mids[r : r + rows], colors.tolist()):
+                fh.write(mid.join(pieces) % tuple(row))
         fh.write("\n</svg>\n")
 
 

@@ -19,11 +19,17 @@ land inside the node guard are perturbed by the stencil step (quantile/fixed)
 or resampled (rejection), at most 10 times each.
 
 Every bulk |psi|^2 evaluation here (the envelope scan, the hydrogen marginal
-quadratures and the rejection candidates) runs on blocks of about ``_BLOCK``
-= 2^13 points, and the scan and the marginals write each block's points into
-one reused buffer.  A hydrogen |psi|^2 holds up to six temporaries the size
-of its input at once, ~400 kB for a block, so they stay in cache and peak
-memory no longer grows with the grid or the candidate batch.  The size is
+quadratures and the rejection candidates) and in ``export.compute_field``
+(the field maps, in blocks of whole grid rows) runs on blocks of about
+``_BLOCK`` = 2^13 points.  The scan and the marginals write each block's
+points into one reused buffer.  A rejection batch is drawn one block of
+candidates at a time: the points from the generator, in order, and the
+acceptance uniforms from a copy of it moved past the batch's points
+(``_ahead``), whose state the generator takes after the batch, so the
+stream is read at the same positions as by one whole-batch draw.  A
+hydrogen |psi|^2 holds up to six temporaries the size of its input at
+once, ~400 kB for a block, so they stay in cache and peak memory no longer
+grows with the grid or the candidate batch.  The size is
 measured: with glibc's default malloc thresholds a fresh process hands the
 memory of a 2^14- or 2^15-point block back to the kernel after each block
 and faults it in again (the hydrogen s marginal then ran ~1.8x slower than
@@ -33,6 +39,7 @@ operations as the whole array would, so every value is bitwise the same as
 one pass over all points.
 """
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -40,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, InvalidParameterError, NodeProximityError
 from .fields import DEFAULT_STENCIL, _grad_s, velocity_grad_s
-from .systems import WaveField, _integer, _number, _shown
+from .systems import WaveField, _integer, _is_pair, _number, _shown
 
 _MAX_RETRIES = 10
 _BLOCK = 1 << 13  # points per bulk density evaluation
@@ -114,17 +121,21 @@ def default_domain(system: WaveField):
 
 
 def _domain(system, sampler):
+    """The sampler's box as float pairs: its domain (``_start`` checks a
+    given one) or the system's default."""
     dom = sampler.domain if sampler.domain is not None else default_domain(system)
-    if len(dom) != system.dim:
-        raise ConfigurationError(
-            f"domain has {len(dom)} dimensions, system has {system.dim}",
-            path="ensemble.domain",
-        )
-    for lo, hi in dom:
-        if not (_number(lo) and _number(hi) and lo < hi):
-            raise ConfigurationError(f"bad interval ({_shown(lo)}, {_shown(hi)})",
-                                     path="ensemble.domain")
     return tuple((float(lo), float(hi)) for lo, hi in dom)
+
+
+def _points(raw, key, dim):
+    """Explicit start positions or velocities as an (n, dim) array."""
+    try:
+        a = np.asarray(raw, dtype=float).reshape(-1, dim)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigurationError(f"bad {key} array: {e}", path=f"ensemble.{key}") from e
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError(f"{key} must be finite", path=f"ensemble.{key}")
+    return a
 
 
 class GridCDF:
@@ -338,32 +349,41 @@ def _start(system: WaveField, sampler: SamplerConfig):
     mode's positions and velocities (None if not given) as (n, dim) arrays,
     and (None, None) in the other modes.
 
-    A given domain is checked by ``_domain``; the default one is not built
-    here, so the check costs no envelope scan and no hydrogen box."""
-    if sampler.domain is not None:
-        _domain(system, sampler)
-    for key in ("positions", "velocities"):
-        if getattr(sampler, key) is not None and sampler.mode != "fixed":
+    A given domain must be a list of one [lo, hi] pair per dimension; the
+    default one is not built here, so the check costs no envelope scan and
+    no hydrogen box."""
+    dom = sampler.domain
+    if dom is not None:
+        if not isinstance(dom, (list, tuple)):
+            raise ConfigurationError("expected a list of [lo, hi] pairs", path="ensemble.domain")
+        for i, pair in enumerate(dom):
+            if not _is_pair(pair):
+                raise ConfigurationError(f"expected [lo, hi] with lo < hi, got {_shown(pair)}",
+                                         path=f"ensemble.domain[{i}]")
+        if len(dom) != system.dim:
+            raise ConfigurationError(f"domain has {len(dom)} dimensions, system has {system.dim}",
+                                     path="ensemble.domain")
+    given = {key: _points(getattr(sampler, key), key, system.dim)
+             for key in ("positions", "velocities") if getattr(sampler, key) is not None}
+    for key in given:
+        if sampler.mode != "fixed":
             raise ConfigurationError(f"only the fixed mode takes {key}, mode is {sampler.mode!r}",
                                      path=f"ensemble.{key}")
     if sampler.mode == "quantile_1d" and system.dim != 1:
         raise ConfigurationError("quantile_1d requires a 1D system", path="ensemble.mode")
     if sampler.mode != "fixed":
         return None, None
-    pos = np.asarray(sampler.positions, dtype=float).reshape(-1, system.dim)
+    pos, vel = given["positions"], given.get("velocities")
     if pos.shape[0] != sampler.n:
         raise ConfigurationError(
             f"fixed positions count {pos.shape[0]} != n {sampler.n}",
             path="ensemble.positions",
         )
-    vel = sampler.velocities
-    if vel is not None:
-        vel = np.asarray(vel, dtype=float).reshape(-1, system.dim)
-        if vel.shape != pos.shape:
-            raise ConfigurationError(
-                f"velocities shape {vel.shape} != positions shape {pos.shape}",
-                path="ensemble.velocities",
-            )
+    if vel is not None and vel.shape != pos.shape:
+        raise ConfigurationError(
+            f"velocities shape {vel.shape} != positions shape {pos.shape}",
+            path="ensemble.velocities",
+        )
     return pos, vel
 
 
@@ -402,19 +422,28 @@ def _rejection_sample(system, sampler, t_start, n, rng):
                 "rejection sampling acceptance rate is pathologically low",
                 path="ensemble",
             )
-        pts = lo + wid * rng.random((chunk, dim))
-        rho = _by_rows(lambda p: system.rho(p, t_start), pts, _BLOCK)
-        bad = rho > env
-        if np.any(bad):
-            pt = pts[np.argmax(bad)]
+        # the batch's chunk uniforms follow its chunk * dim point draws in
+        # the stream; a copy of the generator reads them piece by piece
+        ahead = _ahead(rng, chunk * dim)
+        tops, first_bad = [], None
+        for i in range(0, chunk, _BLOCK):
+            m = min(_BLOCK, chunk - i)
+            pts = lo + wid * rng.random((m, dim))
+            rho = system.rho(pts, t_start)
+            bad = rho > env
+            tops.append(rho.max())
+            if first_bad is None and bad.any():
+                first_bad = pts[np.argmax(bad)]
+            keep = pts[ahead.random(m) * env < rho]
+            take = min(n - got, keep.shape[0])
+            out[got : got + take] = keep[:take]
+            got += take
+        if first_bad is not None:
             raise EnvelopeError(
-                f"density {rho.max():.6e} exceeds envelope {env:.6e} at {pt.tolist()}",
+                f"density {np.max(tops):.6e} exceeds envelope {env:.6e} at {first_bad.tolist()}",
                 path="ensemble.envelope",
             )
-        keep = pts[rng.random(chunk) * env < rho]
-        take = min(n - got, keep.shape[0])
-        out[got : got + take] = keep[:take]
-        got += take
+        rng.bit_generator.state = ahead.bit_generator.state
         proposed += chunk
         # low-acceptance boxes (3D especially) grow the proposal batch so
         # the draw stays vectorized instead of looping thousands of times
@@ -422,6 +451,20 @@ def _rejection_sample(system, sampler, t_start, n, rng):
             rate = got / proposed
             chunk = int(min(1 << 22, max(chunk, 1.5 * (n - got) / rate)))
     return out
+
+
+def _ahead(rng, k):
+    """A copy of the Philox generator rng, k doubles further on: the rest of
+    its partly read block of 4 doubles is read, whole blocks are skipped by
+    ``advance`` and the remainder is read and discarded."""
+    ahead = copy.deepcopy(rng)
+    bits = ahead.bit_generator
+    left = min(k, 4 - bits.state["buffer_pos"])
+    bits.random_raw(left)
+    if k - left >= 4:
+        bits.advance((k - left) // 4)
+    bits.random_raw((k - left) % 4)
+    return ahead
 
 
 def initial_velocities(system: WaveField, positions, t_start=0.0, stencil=None,

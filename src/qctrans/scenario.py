@@ -26,8 +26,8 @@ from .coupling import Constant, GaussianCDF, Logistic
 from .dynamics import _METHODS, IntegratorConfig
 from .errors import ConfigurationError, InvalidParameterError
 from .fields import StencilConfig
-from .sampling import SamplerConfig, _start
-from .systems import _KINDS as _SYSTEMS, WaveField, _finite, _integer, _number, _shown
+from .sampling import SamplerConfig, _points, _start
+from .systems import _KINDS as _SYSTEMS, WaveField, _finite, _integer, _is_pair, _number, _shown
 
 MODES = ("guidance", "transition", "classical")
 QUANTITIES = ("rho", "S", "Q")
@@ -142,11 +142,6 @@ def _expect_obj(v, path):
     return v
 
 
-def _is_pair(v):
-    """[lo, hi]: two finite numbers with lo < hi."""
-    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_number, v)) and v[0] < v[1]
-
-
 # a config field's type -> (its JSON test, what a message says was expected, the
 # conversion to the field's value)
 _TYPES = {
@@ -256,32 +251,15 @@ _DEFAULT_INTEGRATOR = {
 }
 
 
-def _points(raw, key, dim):
-    """Explicit start positions or velocities as a tuple of dim-tuples."""
-    try:
-        a = np.asarray(raw, dtype=float).reshape(-1, dim)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigurationError(f"bad {key} array: {e}", path=f"ensemble.{key}") from e
-    if not np.all(np.isfinite(a)):
-        raise ConfigurationError(f"{key} must be finite", path=f"ensemble.{key}")
-    return tuple(map(tuple, a))
-
-
 def _build_ensemble(d, system) -> SamplerConfig:
     d = _expect_obj(d, "ensemble")
     kw = {"mode": "quantile_1d", "n": 50} if system.dim == 1 else {}
-    if "domain" in d:
-        if not isinstance(d["domain"], (list, tuple)):
-            raise ConfigurationError("expected a list of [lo, hi] pairs", path="ensemble.domain")
-        kw["domain"] = tuple(_read(p, f"ensemble.domain[{i}]", tuple)
-                             for i, p in enumerate(d["domain"]))
-    for key in ("positions", "velocities"):
-        if key in d:
-            kw[key] = _points(d[key], key, system.dim)
+    own = ("domain", "positions", "velocities")  # read and checked by the sampler (_start)
+    kw.update((key, d[key]) for key in own if d.get(key) is not None)
     if "positions" in kw:
-        kw["n"] = len(kw["positions"])
-    sampler = _section(d, "ensemble", SamplerConfig, ("domain", "positions", "velocities"), **kw)
-    _start(system, sampler)  # the samplers' own checks of the section
+        kw["n"] = len(_points(kw["positions"], "positions", system.dim))
+    sampler = _section(d, "ensemble", SamplerConfig, own, **kw)
+    _start(system, sampler)
     return sampler
 
 

@@ -65,6 +65,11 @@ def _integer(v):
     return isinstance(v, numbers.Integral) and _number(v)
 
 
+def _is_pair(v):
+    """[lo, hi]: two finite numbers with lo < hi."""
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_number, v)) and v[0] < v[1]
+
+
 def _shown(v):
     """repr(v) for a message; a value whose repr raises (an int of more
     digits than Python converts to text, or a list holding one) is named by

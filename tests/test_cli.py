@@ -330,6 +330,16 @@ def test_field_quantity_rho_has_no_mask(tmp_path, capsys):
     assert arr.max() == pytest.approx(np.exp(-1.0) / np.pi, rel=1e-2)
 
 
+def test_field_formats_json_falls_back_to_csv(tmp_path, capsys):
+    # a field grid has no JSON form: the command writes its CSV instead
+    for formats, out in (("json", tmp_path / "j"), ("csv", tmp_path / "c")):
+        assert main(["field", "--preset", "fig4", "--out", str(out), "--grid", "11",
+                     "--formats", formats]) == 0
+    assert os.listdir(tmp_path / "j") == ["fig4_field.csv"]
+    assert (tmp_path / "j" / "fig4_field.csv").read_bytes() == \
+        (tmp_path / "c" / "fig4_field.csv").read_bytes()
+
+
 def test_import_loads_neither_urllib_nor_concurrent_futures():
     # xml.sax.saxutils would pull in urllib.request, http.client and email;
     # concurrent.futures serves nothing in the package, so no import may

@@ -259,3 +259,18 @@ def test_ensemble_starts_near_node_guard_leave_no_nan(ens, mode):
         assert tr.status in ("completed", "singular_stop", "step_limit")
         for rows in (tr.t, tr.x, tr.v):
             assert not np.isnan(rows).any()
+
+
+def test_completed_rows_stop_at_zero_on_both_engines():
+    # 12 oscillator rows: the batch finishes some and hands the last
+    # _HANDOFF to the scalar kernel; a completed row has stop time and
+    # position zero on either engine, a row stopped at the start its start
+    starts = np.concatenate([_STARTS["oscillator_2d"][:11], [[0.0, 0.0]]])
+    osc = qt.oscillator_2d()
+    t, xs, vs, status, filled, steps, stop_t, stop_x = dynamics._run_batch(
+        qt.kernels.GUIDANCE, osc, qt.Constant(1.0), starts, None, np.linspace(0.0, 5.0, 6),
+        None, None, True)
+    done = status == qt.kernels.COMPLETED
+    assert done.sum() == 11 and status[-1] == qt.kernels.SINGULAR_STOP
+    assert np.all(stop_t[done] == 0.0) and np.all(stop_x[done] == 0.0)
+    assert stop_t[-1] == 0.0 and np.array_equal(stop_x[-1], starts[-1])

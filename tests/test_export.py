@@ -327,6 +327,42 @@ def test_field_command_matches_per_cell_oracle(preset, tmp_path, capsys):
     assert csv == _oracle_field_csv(grid, sc.annotation()).encode()
 
 
+def test_phase_field_is_arg_psi_and_masks_the_underflow():
+    # a window wide enough that the packet tails fall under the 1e-250 floor
+    ds = qt.double_slit()
+    window = {"xlim": (-30.0, 30.0), "ylim": (0.0, 1.0), "nx": 121, "ny": 41}
+    grid = compute_field(ds, qt.FieldGridConfig(quantity="S", **window))
+    rho = compute_field(ds, qt.FieldGridConfig(quantity="rho", **window)).values
+    masked = np.isnan(grid.values)
+    assert 0 < masked.sum() < masked.size
+    assert np.array_equal(masked, rho < 1e-250)
+    gx, gy = np.meshgrid(grid.xs, grid.ys)
+    s = qt.systems.double_slit_s_closed(ds.params, gx[~masked], gy[~masked])
+    assert np.abs(np.exp(1j * s) - np.exp(1j * grid.values[~masked])).max() < 1e-9
+
+
+def _peak(f):
+    """f() and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig5", "fig7"])
+def test_field_maps_stay_in_bounded_memory(preset):
+    # a 600 x 600 grid is a 2.9 MB values array; evaluated whole the map
+    # peaked at 42-60 MB, the CSV writer at 12 MB and the SVG writer at 39 MB
+    doc = qt.preset_doc(preset)
+    doc["output"]["field"].update(nx=600, ny=600)
+    sc = qt.build_scenario(doc, name=preset)
+    grid, peak = _peak(lambda: compute_field(sc.system, sc.output.field))
+    assert peak <= 8e6
+    assert _peak(lambda: write_field_csv(grid, os.devnull, annotation="a"))[1] <= 5e6
+    assert _peak(lambda: write_field_svg(grid, "a", os.devnull))[1] <= 12e6
+
+
 # --- trajectory writers ------------------------------------------------------
 
 # every status in each dimension: completed rows, rows cut at the step limit

@@ -293,6 +293,12 @@ def test_envelope_scan_stays_in_bounded_memory():
     assert _peak_bytes(lambda: estimate_envelope(hyd, dom, 0.0, 1.5)) < 8e6
 
 
+def test_hydrogen_rejection_draw_stays_in_bounded_memory():
+    # its second proposal batch has 7.2e5 candidates, ~35 MB evaluated whole
+    hyd = qt.hydrogen()
+    assert _peak_bytes(lambda: qt.sample_positions(hyd, qt.SamplerConfig(n=2000, seed=0))) < 5e6
+
+
 def test_hydrogen_rejection_draw_bits_are_pinned():
     # the proposal batch grows past sampling._BLOCK candidates, so the
     # density is evaluated across block edges; digest of the whole-array draw
@@ -520,6 +526,27 @@ def test_domain_bad_interval():
 
 def test_domain_bound_beyond_the_float_range_is_a_bad_interval():
     ds = qt.double_slit()
+    message = r"ensemble.domain\[0\]: expected \[lo, hi\] with lo < hi, got \(0, 1000"
     for mode in ("quantile_1d", "rejection"):
-        with pytest.raises(qt.ConfigurationError, match=r"ensemble.domain: bad interval \(0, 1000"):
+        with pytest.raises(qt.ConfigurationError, match=message):
             qt.sample_positions(ds, qt.SamplerConfig(mode=mode, n=4, domain=((0, 10**400),)))
+
+
+@pytest.mark.parametrize("section,message", [
+    ({"mode": "fixed", "n": 1, "positions": "abc"},
+     "ensemble.positions: bad positions array: could not convert string to float: 'abc'"),
+    ({"mode": "fixed", "n": 1, "positions": [[math.nan, 0.0]]},
+     "ensemble.positions: positions must be finite"),
+    ({"domain": 5}, "ensemble.domain: expected a list of [lo, hi] pairs"),
+    ({"domain": [5, 6]}, "ensemble.domain[0]: expected [lo, hi] with lo < hi, got 5"),
+], ids=["positions_text", "positions_nan", "domain_int", "domain_flat"])
+def test_a_sampler_config_gets_the_document_checks(section, message):
+    # the same section as a Python config and in a document: one message
+    osc = qt.oscillator_2d()
+    with pytest.raises(qt.ConfigurationError) as exc:
+        qt.sample_initial_conditions(osc, qt.SamplerConfig(**section))
+    assert str(exc.value) == message
+    doc = {"system": {"type": "oscillator_2d"}, "mode": "guidance", "ensemble": section}
+    with pytest.raises(qt.ConfigurationError) as exc:
+        qt.build_scenario(doc)
+    assert str(exc.value) == message

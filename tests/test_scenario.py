@@ -64,6 +64,8 @@ def test_transition_builds_requested_schedule():
     })
     assert isinstance(sc.coupling, qt.GaussianCDF)
     assert qt.eval_lambda(sc.coupling, 1.0) == 0.5
+    assert sc.annotation() == ("double_slit rho0=0.625 u=-2 X=2.5 | gaussian_cdf mu=1 sigma=0.25 | "
+                               "mode=transition n=50 t=[0,2]")
 
 
 # --- validation errors carry dotted paths -----------------------------------
@@ -411,12 +413,28 @@ def test_parse_scenario_round_trip():
     assert sc.system.kind == "double_slit"
 
 
+def test_parse_scenario_reads_utf8_bytes_and_rejects_other_input():
+    doc = dict(MINIMAL, name="ψ²")
+    assert parse_scenario(json.dumps(doc, ensure_ascii=False).encode("utf-8")).name == "ψ²"
+    with pytest.raises(qt.ConfigurationError, match=r"^\$: document is not UTF-8: 'utf-8' codec"):
+        parse_scenario(b'{"name": "\xff"}')
+    with pytest.raises(qt.ConfigurationError) as exc:
+        parse_scenario(MINIMAL)
+    assert str(exc.value) == "$: expected a JSON document string"
+
+
 def test_fixed_positions_infer_n():
     sc = build_scenario({
         "system": {"type": "oscillator_2d"}, "mode": "guidance",
         "ensemble": {"mode": "fixed", "positions": [[1.0, 0.0], [0.0, 2.0]]},
     })
     assert sc.ensemble.n == 2
+
+
+def test_null_sampler_arrays_read_as_left_out():
+    doc = {"system": {"type": "oscillator_2d"}, "mode": "guidance",
+           "ensemble": {"domain": None, "positions": None, "velocities": None}}
+    assert build_scenario(doc).ensemble == build_scenario(dict(doc, ensemble={})).ensemble
 
 
 # --- annotations ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """tools/code_lines.py, the code-line count the code size is measured by, and
-tools/preset_digests.py, the digests of the files the presets write."""
+tools/preset_digests.py, the digests of the files the presets write (the
+field maps of every quantity included)."""
 import hashlib
 import importlib.util
 import os
@@ -67,6 +68,23 @@ def test_preset_digests_hash_every_file_simulate_and_sample_write(tmp_path, caps
     files = sorted(os.listdir(tmp_path))
     assert files == ["fig1_quantum.csv", "fig1_quantum.json", "fig1_quantum.svg",
                      "fig1_quantum_samples.csv"]
+    assert lines == [f"{hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()}  {f}"
+                     for f in files]
+
+
+def test_preset_digests_hash_the_field_maps_of_every_quantity(tmp_path, capsys):
+    assert preset_digests.main(["fig5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["simulate", "--preset", "fig5", "--out", str(tmp_path),
+                 "--formats", "csv,json,svg"]) == 0
+    assert main(["sample", "--preset", "fig5", "--out", str(tmp_path)]) == 0
+    for q in ("Q", "rho", "S"):
+        assert main(["field", "--preset", "fig5", "--out", str(tmp_path), "--quantity", q,
+                     "--formats", "csv,svg", "--set", f"output.basename=fig5_{q}"]) == 0
+    files = sorted(os.listdir(tmp_path))
+    assert [f for f in files if f.startswith(("fig5_Q_", "fig5_rho_", "fig5_S_"))] == [
+        "fig5_Q_field.csv", "fig5_Q_field.svg", "fig5_S_field.csv", "fig5_S_field.svg",
+        "fig5_rho_field.csv", "fig5_rho_field.svg"]
     assert lines == [f"{hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()}  {f}"
                      for f in files]
 
