@@ -27,9 +27,8 @@ Two engines run that method:
   whole before the array right-hand side runs, so the kernel takes its
   start guard and sample 0 as well, and stays the oracle the ensemble
   engine is tested against.  The kernel runs the oscillator and
-  hydrogen closed forms and the double slit's stencil, so the oscillator
-  and hydrogen stencil routes (``use_closed=False``) stay in the batch to
-  the end.
+  hydrogen closed forms and the double slit's stencil, the routes of the
+  batch engine.
 
 The arithmetic contract of the ensemble engine: it repeats the kernel's step
 control check for check and its arithmetic operation for operation,
@@ -150,8 +149,7 @@ def _kernel(mode, system, coupling, x0, v0, t, cfg, st, dt0, dt_min, max_steps):
     return result, xs, vs
 
 
-def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
-         use_closed) -> Trajectory:
+def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil) -> Trajectory:
     """One trajectory: a one-row ensemble."""
     dim = system.dim
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -161,7 +159,7 @@ def _run(mode, system: WaveField, coupling, x0, v0, t_grid, integrator, stencil,
     if v0.size != dim:
         raise InvalidParameterError(f"v0 must have {dim} components, got {v0.size}")
     return _trajectories(*_run_batch(mode, system, coupling, x0[None], v0[None], t_grid,
-                                     integrator, stencil, use_closed))[0]
+                                     integrator, stencil))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +179,18 @@ _HANDOFF = 8
 
 
 def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
-               stencil, use_closed) -> tuple:
+               stencil) -> tuple:
     """Integrate an ensemble of starts x0 (and v0 in transition mode), each
     of shape (n, dim), over t_grid.
 
     Returns the arrays (t, xs, vs, status, filled, steps, stop_t, stop_x):
     the grid, the (n, nt, dim) samples, and per start its status code, its
     number of samples produced (the rest of its row is zero), its step
-    count and its stop time and position (zero for a completed run).
-
-    ``use_closed`` selects the closed forms where the system has them.  The
-    kernel has no oscillator or hydrogen stencil, so with the flag off their
-    rows stay on the array stencil to the end."""
+    count and its stop time and position (zero for a completed run)."""
     t = _check_grid(t_grid)
     system._check_t(t)
     cfg = integrator or IntegratorConfig()
     st = stencil or DEFAULT_STENCIL
-    handoff = _HANDOFF if use_closed or not system.has_closed else 0
     guidance = mode == kernels.GUIDANCE
     x0 = np.asarray(x0, dtype=float)
     n, dim = x0.shape
@@ -231,14 +224,14 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
             stop_t[i] = s_t
             stop_x[i] = s_x[:dim]
 
-    if n <= handoff:
+    if n <= _HANDOFF:
         # so few rows go to the kernel whole, start guard and sample 0 included
         for i in range(n):
             hand_off(i, x0[i], np.zeros(dim) if guidance else np.asarray(v0[i], dtype=float),
                      t, cfg.dt, 0, 0)
         return t, xs, vs, status, filled, steps, stop_t, stop_x
 
-    rhs, timed = _batch_rhs(mode, system, coupling, st, use_closed)
+    rhs, timed = _batch_rhs(mode, system, coupling, st)
     adaptive = cfg.method == "rk45_adaptive"
     t_out = np.append(t, np.inf)  # an output index past the grid emits nothing
     rtol, atol = float(cfg.rtol), float(cfg.atol)
@@ -303,7 +296,7 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
     with np.errstate(all="ignore"):
         while idx.size:
             keep = np.ones(idx.size, dtype=bool)
-            if idx.size <= handoff:
+            if idx.size <= _HANDOFF:
                 # the scalar kernel restarts its halving count, so a row
                 # goes over only when it has none
                 for r in np.flatnonzero(hv == 0):
@@ -402,16 +395,12 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                 if adaptive:
                     fac = np.full(a.size, 5.0)
                     grow = errn[a] > 0.0
-                    fac[grow] = np.clip(_factors(errn[a][grow]), 0.2, 5.0)
+                    # errn <= 1 on accepted rows, so the factor is >= 0.9
+                    fac[grow] = np.minimum(_factors(errn[a][grow]), 5.0)
                     dt[a] *= fac
                 dt[a] = np.minimum(dt[a], t_end - tt[a])
-                done = a[(gi[a] >= nt) | (tt[a] >= t_end)]
-                for r in done:
-                    # roundoff left the last grid times unemitted: the final state
-                    i = idx[r]
-                    xs[i, gi[r]:] = y[r, :dim]
-                    vs[i, gi[r]:] = f0[r, :dim] if guidance else y[r, dim:]
-                    steps[i] = ns[r]
+                done = a[gi[a] >= nt]
+                steps[idx[done]] = ns[done]
                 keep[done] = False
             if not keep.all():
                 idx, y, f0, tt, dt, gi, ns, hv = (
@@ -455,26 +444,23 @@ def _scalars(a):
 
 def integrate_guidance(system: WaveField, x0, t_grid,
                        integrator: IntegratorConfig | None = None,
-                       stencil: StencilConfig | None = None,
-                       use_closed: bool = True) -> Trajectory:
+                       stencil: StencilConfig | None = None) -> Trajectory:
     """Integrate dx/dt = u(x, t) from x0 over t_grid.
 
     Sample velocities are the guidance field along the path (to interpolant
-    accuracy).  ``use_closed`` selects the analytic velocity for the
-    stationary systems; the finite-difference phase gradient is used
-    otherwise.
+    accuracy): the closed form for the oscillator and hydrogen, the
+    finite-difference phase gradient for the double slit.
     """
     return _run(kernels.GUIDANCE, system, Constant(1.0), x0, None, t_grid,
-                integrator, stencil, use_closed)
+                integrator, stencil)
 
 
 def integrate_transition(system: WaveField, coupling, state0, t_grid,
                          integrator: IntegratorConfig | None = None,
-                         stencil: StencilConfig | None = None,
-                         use_closed: bool = True) -> Trajectory:
+                         stencil: StencilConfig | None = None) -> Trajectory:
     """Integrate d2x/dt2 = -grad(V + P(t) Q) from ``state0``, the pair
     (x0, v0) at t_grid[0], over t_grid.
     """
     x0, v0 = state0
     return _run(kernels.TRANSITION, system, coupling, x0, v0, t_grid,
-                integrator, stencil, use_closed)
+                integrator, stencil)

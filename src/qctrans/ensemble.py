@@ -200,7 +200,7 @@ def run_ensemble(scenario, compute_metrics: bool = True) -> EnsembleResult:
     arrays = _run_batch(
         kernels.GUIDANCE if guided else kernels.TRANSITION, system,
         Constant(1.0) if guided else coupling, pos, vel, t_grid,
-        scenario.integrator, scenario.numerics, True,
+        scenario.integrator, scenario.numerics,
     )
     trajectories = _trajectories(*arrays)
     _, xs, vs, _, filled, *_ = arrays

@@ -17,8 +17,8 @@ The stencil contract:
   raise :class:`NodeProximityError` there.
 
 The array right-hand side of the ensemble engine (``_batch_rhs``) lives
-here too, next to the stencil it calls on the stencil routes; on the
-oscillator and hydrogen closed routes it calls the closed forms of
+here too, next to the stencil it calls for the double slit; for the
+oscillator and hydrogen it calls the closed forms of
 :mod:`qctrans.kernels` on arrays and leaves the node guard
 (``_dense_enough``, the kernel's oscillator density and hydrogen
 recurrences) to its caller, who checks every stage point of a step in one
@@ -232,13 +232,11 @@ def qpot_gradient(psi, x, t, stencil: StencilConfig | None = None):
     return _at_point(_grad_qpot, psi, x, t, stencil)
 
 
-def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = None,
-          use_closed: bool = True):
+def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = None):
     """Transition force -grad(V + P(t) Q) at a single point.
 
-    ``use_closed`` selects the analytic grad-Q route when the system has one;
-    the numeric stencil route is used otherwise (and always for the
-    double slit).
+    grad Q is the closed form for the oscillator and hydrogen, and the
+    numeric stencil for the double slit.
     """
     st = stencil or DEFAULT_STENCIL
     x = _point(system, x)
@@ -246,7 +244,7 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
     dim = system.dim
     y = np.zeros((1, 2 * dim))
     y[0, :dim] = x
-    rhs, _ = _batch_rhs(kernels.TRANSITION, system, coupling, st, use_closed)
+    rhs, _ = _batch_rhs(kernels.TRANSITION, system, coupling, st)
     with np.errstate(all="ignore"):
         dy, ok, need = rhs(y, np.array([float(t)]))
         if not (ok[0] and (need is None or _dense_enough(system, x[None], t, st)[0])):
@@ -273,26 +271,26 @@ def _dense_enough(system, x, t, st):
     return (rho >= st.min_rho) & np.isfinite(rho)
 
 
-def _batch_rhs(mode, system, coupling, st, use_closed):
+def _batch_rhs(mode, system, coupling, st):
     """(rhs, reads_t): rhs(y, t) -> (dy, ok, need) over an (m, nvar) stack of
     states with a time for each, and whether rhs reads t at all (the closed
     guidance forms are stationary and take t = None).
 
-    ``ok`` and the node guard together are the kernel's ``rhs`` status 0.
-    On the closed routes ``ok`` is the forms' own guard, and ``need``
-    indexes the rows whose position must still pass ``_dense_enough``; the
-    caller checks them, the points of a whole step at once.  The guard
-    feeds no value of dy, so where it is checked moves no bit.  On the
-    stencil routes ``ok`` holds the guard and ``need`` is None, as it is
-    where P(t) leaves no quantum term to guard.
-    ``use_closed`` selects the closed forms where the system has them, the
-    array stencil otherwise.  The closed forms are the kernel's own, called
-    on columns; their guard flag is negated with np.logical_not, because an
-    m = 0 hydrogen form returns the bool False, and ~False is -1 (guidance
-    writes it into a mask over all rows)."""
+    The oscillator and hydrogen take the closed routes, the double slit the
+    array stencil.  ``ok`` and the node guard together are the kernel's
+    ``rhs`` status 0.  On the closed routes ``ok`` is the forms' own guard,
+    and ``need`` indexes the rows whose position must still pass
+    ``_dense_enough``; the caller checks them, the points of a whole step
+    at once.  The guard feeds no value of dy, so where it is checked moves
+    no bit.  On the stencil route ``ok`` holds the guard and ``need`` is
+    None, as it is where P(t) leaves no quantum term to guard.
+    The closed forms are the kernel's own, called on columns; their guard
+    flag is negated with np.logical_not, because an m = 0 hydrogen form
+    returns the bool False, and ~False is -1 (guidance writes it into a
+    mask over all rows)."""
     dim = system.dim
     par = system._par.tolist()
-    closed = use_closed and system.has_closed
+    closed = system.has_closed
     osc = system.kind == "oscillator_2d"
     if mode == kernels.GUIDANCE:
         if not closed:

@@ -4,10 +4,10 @@ trajectory.
 This module holds only what ``integrate`` calls: the closed-form fields of
 the oscillator and hydrogen, the double slit's psi with a one-dimensional
 stencil over it, and the real densities of the node guard.  Every other
-route (field queries, ``fields.force``, the oscillator and hydrogen stencils
-behind ``use_closed=False``) runs on the array layer of
-:mod:`qctrans.fields`.  Everything here is compiled with numba (see
-``_jit``); the same source runs as plain Python when the JIT is disabled.
+route (field queries, ``fields.force``, the batch engine's double-slit
+stencil) runs on the array layer of :mod:`qctrans.fields`.  Everything
+here is compiled with numba (see ``_jit``); the same source runs as plain
+Python when the JIT is disabled.
 The closed forms (guidance velocities, grad Q, the Coulomb grad V), the
 oscillator's density and hydrogen's Laguerre and Legendre recurrences are
 written once, as plain arithmetic: the kernel calls them on floats, and the
@@ -552,8 +552,6 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     gi = 1
 
     dt = dt0
-    if method == RK45_ADAPTIVE and dt <= 0.0:
-        dt = 0.01
     if dt > t_end - t:
         dt = t_end - t
     n_steps = 0
@@ -661,28 +659,15 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
         halvings = 0
         if method == RK45_ADAPTIVE:
             if errn > 0.0:
+                # errn <= 1 on an accepted step, so fac >= 0.9
                 fac = 0.9 * errn ** -0.2
                 if fac > 5.0:
                     fac = 5.0
-                if fac < 0.2:
-                    fac = 0.2
                 dt *= fac
             else:
                 dt *= 5.0
         if dt > t_end - t:
             dt = t_end - t
-        if gi >= nt:
-            break
-        if t >= t_end:
-            break
-
-    while gi < nt:
-        # roundoff left the last grid point unemitted; use the final state
-        for i in range(dim):
-            xs[gi, i] = y[i]
-            if mode == TRANSITION:
-                vs[gi, i] = y[dim + i]
-            else:
-                vs[gi, i] = f0[i]
-        gi += 1
+    # no step passes t_end, and the one that reaches it emits every grid
+    # time left, so the loop ends with all nt samples filled
     return COMPLETED, nt, n_steps, t, y[0], y[1], y[2]

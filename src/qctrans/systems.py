@@ -12,7 +12,7 @@ Three exactly solvable configurations (hbar = m = 1):
 Functions here are numpy-vectorized over positions (trailing axis = dim).
 ``WaveField.psi`` is what every field query evaluates, through the array
 stencil of :mod:`qctrans.fields`, as well as the samplers, the field grids
-and the ensemble engine's stencil routes.  The only other psi is the
+and the ensemble engine's double-slit stencil.  The only other psi is the
 double slit's scalar one in :mod:`qctrans.kernels`, behind the integrator's
 one-dimensional stencil, so the two stencils cross-check each other.
 ``WaveField.rho``
@@ -22,12 +22,13 @@ times cheaper for the samplers, the KS tables and the ensemble node guard.
 Its Laguerre and Legendre recurrences are the scalar kernel's own
 (:mod:`qctrans.kernels`), called on arrays.
 
-The closed forms here are not the ones the integrator runs (those are in
-:mod:`qctrans.kernels`).  They stay in their published shape on purpose,
-even where a shorter algebraic form exists, so they are an independent
-route: the double slit's density and phase and the oscillator density,
-velocities and Q and hydrogen's velocities and Q are the tests' oracles,
-and Q also draws the field maps of ``export.compute_field``.
+The two closed forms of Q here, the oscillator's and hydrogen's, are not
+the ones the integrator runs (those are in :mod:`qctrans.kernels`).  They
+stay in their published shape on purpose, even where a shorter algebraic
+form exists, so they are an independent route: they draw the field maps of
+``export.compute_field`` and are the tests' oracles for Q.  The other
+closed forms in that shape are the tests' alone and live in
+``tests/oracles.py``.
 
 The one number rule of every parameter lives here too: ``_number`` (a finite
 real, numpy's scalars included, never a bool, and no int beyond the float
@@ -208,19 +209,6 @@ class WaveField:
             rho = np.broadcast_to(rho, np.broadcast_shapes(rho.shape, t.shape)).copy()
         return rho
 
-    def potential(self, x):
-        """Classical potential V(x)."""
-        if self.kind == "double_slit":
-            (xx,) = self._split(x)
-            return np.zeros_like(xx)
-        if self.kind == "oscillator_2d":
-            xx, yy = self._split(x)
-            return 0.5 * self.params.k0 * (xx * xx + yy * yy)
-        xx, yy, zz = self._split(x)
-        r = np.sqrt(xx * xx + yy * yy + zz * zz)
-        with np.errstate(divide="ignore"):
-            return -1.0 / r
-
     @property
     def has_closed(self) -> bool:
         """Whether the kernels hold closed forms of this system's guidance
@@ -280,40 +268,6 @@ def double_slit_psi(p: DoubleSlitParams, x, t):
     return (g1 + g2) / np.sqrt(p.rho0 * a)
 
 
-def double_slit_rho_closed(p: DoubleSlitParams, x, t):
-    """Closed-form |psi|^2 (cross-check route, kept in published shape)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    d = t**2 + p.rho0**4
-    pref = np.exp(-2.0 * (x**2 + (-p.u * t + p.X) ** 2) * p.rho0**2 / d)
-    e1 = np.exp((p.u * t + x - p.X) ** 2 * p.rho0**2 / d)
-    e2 = np.exp((-p.u * t + x + p.X) ** 2 * p.rho0**2 / d)
-    cross = 2.0 * np.exp((x**2 + (-p.u * t + p.X) ** 2) * p.rho0**2 / d) * np.cos(
-        2.0 * x * (p.X * t + p.u * p.rho0**4) / d
-    )
-    return pref * (e1 + e2 + cross) / np.sqrt(d / p.rho0**2)
-
-
-def double_slit_s_closed(p: DoubleSlitParams, x, t):
-    """Closed-form phase S (cross-check route); agrees with arg(psi) mod 2pi."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    d = p.rho0**4 + t**2
-    w1 = np.exp(p.rho0**2 * (p.u * t + x - p.X) ** 2 / (2.0 * d))
-    w2 = np.exp(p.rho0**2 * (-p.u * t + x + p.X) ** 2 / (2.0 * d))
-    t1 = (
-        t * (-p.u * t + x + p.X) ** 2 / (2.0 * d)
-        - 0.5 * np.arctan(t / p.rho0**2)
-        + p.u * (-p.u * t / 2.0 + x + p.X)
-    )
-    t2 = (
-        -t * (p.u * t + x - p.X) ** 2 / (2.0 * d)
-        + 0.5 * np.arctan(t / p.rho0**2)
-        + p.u * (p.u * t / 2.0 + x - p.X)
-    )
-    return np.arctan2(w1 * np.sin(t1) - w2 * np.sin(t2), w1 * np.cos(t1) + w2 * np.cos(t2))
-
-
 # ---------------------------------------------------------------------------
 # 2D oscillator
 # ---------------------------------------------------------------------------
@@ -329,27 +283,6 @@ def oscillator_psi(p: Oscillator2DParams, x, y, t):
         * (x + np.exp(1j * p.alpha) * y)
         * np.exp(-0.5 * w * (x * x + y * y) - 2j * w * t)
     )
-
-
-def oscillator_rho_closed(p: Oscillator2DParams, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = p.omega
-    return (
-        (w * w / math.pi)
-        * np.exp(-w * (x * x + y * y))
-        * (x * x + y * y + 2.0 * x * y * math.cos(p.alpha))
-    )
-
-
-def oscillator_velocity_closed(p: Oscillator2DParams, x, y):
-    """Guidance velocity; singular on the nodal set x^2 + 2xy cos a + y^2 = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    g = x * x + 2.0 * math.cos(p.alpha) * x * y + y * y
-    _raise_where(g < 1e-280, "velocity singular on the nodal set")
-    sa = math.sin(p.alpha)
-    return np.stack([-sa * y / g, sa * x / g], axis=-1)
 
 
 def oscillator_qpot_closed(p: Oscillator2DParams, x, y):
@@ -455,19 +388,6 @@ def _hydrogen_singular_mask(p: HydrogenParams, x, y, z):
     if p.m != 0:
         bad = bad | (x * x + y * y < 1e-280)
     return bad
-
-
-def hydrogen_velocity_closed(p: HydrogenParams, x, y, z):
-    """Guidance velocity m/s^2 (-y, x, 0); zero for m = 0 states."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if p.m == 0:
-        zero = np.zeros_like(x)
-        return np.stack([zero, zero, zero], axis=-1)
-    s2 = x * x + y * y
-    _raise_where(s2 < 1e-280, "velocity singular on the z-axis")
-    return np.stack([-p.m * y / s2, p.m * x / s2, np.zeros_like(x)], axis=-1)
 
 
 def hydrogen_qpot_closed(p: HydrogenParams, x, y, z):

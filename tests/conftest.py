@@ -4,8 +4,8 @@ The session-scoped warm-up drives, once, what numba compiles: the scalar
 kernel's closed guidance and transition routes of the oscillator and
 hydrogen, the double slit's stencil in both modes, and RK4.  Tests that
 assert wall-clock budgets then never pay compilation inside the timed
-block.  Field queries, samplers and the oscillator and hydrogen stencil
-routes (``use_closed=False``) run on numpy and need no warm-up.
+block.  Field queries, samplers, ``force`` and the batch engine's array
+right-hand side run on numpy and need no warm-up.
 """
 import numpy as np
 import pytest

@@ -18,6 +18,7 @@ from scipy.stats import qmc
 
 import qctrans as qt
 from qctrans import systems as qs
+import oracles
 
 TIGHT = qt.IntegratorConfig(rtol=1e-9, atol=1e-11)
 
@@ -59,8 +60,8 @@ def test_criterion_01_closed_form_cross_checks(point_sets):
     osc, p2 = point_sets["osc"]
     dr = dv = dq = 0.0
     for p in p2:
-        dr = max(dr, abs(qs.oscillator_rho_closed(osc.params, p[0], p[1]) - osc.rho(p, 0.0)))
-        vc = np.asarray(qs.oscillator_velocity_closed(osc.params, p[0], p[1]))
+        dr = max(dr, abs(oracles.oscillator_rho_closed(osc.params, p[0], p[1]) - osc.rho(p, 0.0)))
+        vc = np.asarray(oracles.oscillator_velocity_closed(osc.params, p[0], p[1]))
         dv = max(dv, np.abs(vc - qt.velocity_grad_s(osc, p, 0.0)).max())
         dq = max(dq, abs(qs.oscillator_qpot_closed(osc.params, p[0], p[1])
                          - qt.quantum_potential(osc, p, 0.0)))
@@ -69,7 +70,7 @@ def test_criterion_01_closed_form_cross_checks(point_sets):
     hyd, p3 = point_sets["hyd"]
     hv = hq = 0.0
     for p in p3:
-        vc = np.asarray(qs.hydrogen_velocity_closed(hyd.params, *p))
+        vc = np.asarray(oracles.hydrogen_velocity_closed(hyd.params, *p))
         hv = max(hv, np.abs(vc - qt.velocity_grad_s(hyd, p, 0.0)).max())
         hq = max(hq, abs(qs.hydrogen_qpot_closed(hyd.params, *p)
                          - qt.quantum_potential(hyd, p, 0.0)))
@@ -80,8 +81,8 @@ def test_criterion_01_closed_form_cross_checks(point_sets):
     disc = 0
     worst = 0.0
     for p, t in zip(p1, t1):
-        d_rho = abs(qs.double_slit_rho_closed(ds.params, p[0], t) - ds.rho(p, t))
-        s_c = qs.double_slit_s_closed(ds.params, p[0], t)
+        d_rho = abs(oracles.double_slit_rho_closed(ds.params, p[0], t) - ds.rho(p, t))
+        s_c = oracles.double_slit_s_closed(ds.params, p[0], t)
         d_phase = abs(np.exp(1j * s_c) - np.exp(1j * np.angle(ds.psi(p, t))))
         worst = max(worst, d_rho, float(d_phase))
         disc += (d_rho > 1e-5) or (d_phase > 1e-5)

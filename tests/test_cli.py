@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import qctrans as qt
-from qctrans import systems as qs
 from qctrans.cli import main
 from qctrans.export import load_result
+import oracles
 
 _OSC_SMALL = {
     "system": {"type": "oscillator_2d"},
@@ -385,7 +385,7 @@ def test_fallback_matches_compiled_closed_path(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
     if not qt.NUMBA_ENABLED:
         x, v = _start_rows(a / "cfg.csv", 2)
-        ref = qs.oscillator_velocity_closed(qt.oscillator_2d().params, x[:, 0], x[:, 1])
+        ref = oracles.oscillator_velocity_closed(qt.oscillator_2d().params, x[:, 0], x[:, 1])
         assert len(x) == 3
         assert np.allclose(v, ref, rtol=1e-12, atol=0.0)
         return

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qctrans as qt
 from qctrans import dynamics, kernels
+from qctrans._jit import _array
 
 TIGHT = qt.IntegratorConfig(rtol=1e-9, atol=1e-11)
 VTIGHT = qt.IntegratorConfig(rtol=1e-10, atol=1e-12)
@@ -54,19 +55,21 @@ def test_hydrogen_guidance_angular_period():
 
 
 def test_guidance_velocity_routes_agree_along_orbit():
+    # the stencil's velocity against the closed form's at every sample of
+    # the orbit the closed form integrates
     osc = qt.oscillator_2d()
     tg = np.linspace(0.0, 2 * math.pi, 63)
     a = qt.integrate_guidance(osc, [1.0, 0.0], tg)
-    b = qt.integrate_guidance(osc, [1.0, 0.0], tg, use_closed=False)
-    assert np.abs(a.x - b.x).max() < 1e-8
+    _, ux, uy = _array(kernels.oscillator_velocity)(osc.params.alpha, a.x[:, 0], a.x[:, 1])
+    fd = np.array([qt.velocity_grad_s(osc, x, t) for x, t in zip(a.x, a.t)])
+    assert np.abs(np.stack([ux, uy], axis=1) - fd).max() < 1e-8
 
 
 def test_only_the_kernels_routes_reach_the_scalar_kernel(monkeypatch):
     # a single trajectory is a one-row ensemble: it goes over to the scalar
     # kernel whole, from the first grid time and before the array right-hand
-    # side is built, when the kernel runs its route (the oscillator and
-    # hydrogen closed forms, the double slit's stencil), and stays on the
-    # array stencil when the oscillator or hydrogen closed forms are off
+    # side is built, on every system's route (the oscillator and hydrogen
+    # closed forms, the double slit's stencil)
     calls = []
     integrate, batch_rhs = kernels.integrate, dynamics._batch_rhs
 
@@ -85,16 +88,11 @@ def test_only_the_kernels_routes_reach_the_scalar_kernel(monkeypatch):
     for sys, x0 in ((qt.oscillator_2d(), [1.0, 0.2]), (qt.hydrogen(), [4.0, 0.5, 0.3]),
                     (qt.double_slit(), [0.5])):
         state0 = (x0, np.zeros(sys.dim))
-        for use_closed in (False, True):
-            calls.clear()
-            g = qt.integrate_guidance(sys, x0, tg, use_closed=use_closed)
-            t = qt.integrate_transition(sys, qt.Logistic(4.0, 0.25), state0, tg,
-                                        use_closed=use_closed)
-            assert g.completed and t.completed
-            reached = use_closed or not sys.has_closed
-            assert calls == ([(kernels.GUIDANCE, sys.sys_id), (kernels.TRANSITION, sys.sys_id)]
-                             if reached else
-                             [("array", kernels.GUIDANCE), ("array", kernels.TRANSITION)])
+        calls.clear()
+        g = qt.integrate_guidance(sys, x0, tg)
+        t = qt.integrate_transition(sys, qt.Logistic(4.0, 0.25), state0, tg)
+        assert g.completed and t.completed
+        assert calls == [(kernels.GUIDANCE, sys.sys_id), (kernels.TRANSITION, sys.sys_id)]
 
 
 # --- transition dynamics ------------------------------------------------------
@@ -369,9 +367,57 @@ def test_time_grid_validation():
         qt.integrate_guidance(osc, [1.0, 0.0], np.array([0.0, 0.5, 0.3]))
     with pytest.raises(qt.InvalidParameterError):
         qt.integrate_guidance(osc, [1.0, 0.0], np.array([0.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(qt.InvalidParameterError, match="^t_grid must be finite$"):
+            qt.integrate_guidance(osc, [1.0, 0.0], np.array([0.0, bad]))
 
 
 def test_state_dimension_validation():
     osc = qt.oscillator_2d()
     with pytest.raises(qt.InvalidParameterError):
         qt.integrate_guidance(osc, [1.0, 0.0, 0.0], np.linspace(0.0, 1.0, 5))
+    with pytest.raises(qt.InvalidParameterError, match="^v0 must have 2 components, got 3$"):
+        qt.integrate_transition(osc, qt.Constant(1.0), ([1.0, 0.0], [0.0, 1.0, 0.0]),
+                                np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+def test_a_first_step_longer_than_the_span_is_the_span(method):
+    # the first dt is clamped to the span: in the scalar kernel, which takes
+    # a single trajectory whole, and in the batch, which takes an ensemble
+    # of more than _HANDOFF rows; either gives the bits of dt = span
+    osc = qt.oscillator_2d()
+    tg = np.linspace(0.0, 0.5, 6)
+    long, span = (qt.IntegratorConfig(method=method, dt=dt) for dt in (100.0, 0.5))
+    a = qt.integrate_guidance(osc, [1.0, 0.2], tg, integrator=long)
+    b = qt.integrate_guidance(osc, [1.0, 0.2], tg, integrator=span)
+    assert a.completed and a.n_steps == b.n_steps
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
+    ang = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    starts = np.stack([np.cos(ang), np.sin(ang)], axis=1) * np.linspace(0.5, 1.5, 12)[:, None]
+    assert len(starts) > dynamics._HANDOFF
+    runs = [dynamics._run_batch(kernels.GUIDANCE, osc, qt.Constant(1.0), starts, None, tg,
+                                cfg, None) for cfg in (long, span)]
+    assert np.all(runs[0][3] == kernels.COMPLETED)
+    for got, ref in zip(*runs):
+        assert np.array_equal(got, ref)
+
+
+def test_double_slit_start_whose_q_probes_leave_the_guard_stops_at_once():
+    # 5h inside the point where |psi|^2 falls to min_rho, the grad Q probes
+    # at +10h are under the guard: the scalar kernel's stencil stops the
+    # trajectory at its start, and ``force`` refuses the point
+    ds = qt.double_slit()
+    st = qt.DEFAULT_STENCIL
+    lo, hi = 2.5, 20.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ds.rho(np.array([mid]), 0.0) >= st.min_rho else (lo, mid)
+    x0 = lo - 5.0 * st.h
+    assert qt.density(ds, [x0], 0.0) >= st.min_rho
+    tr = qt.integrate_transition(ds, qt.Constant(1.0), ([x0], [0.0]), np.linspace(0.0, 1.0, 3))
+    assert tr.status == "singular_stop" and tr.stop_t == 0.0 and tr.n_steps == 0
+    assert tr.x.tolist() == [[x0]] and tr.v.tolist() == [[0.0]]
+    with pytest.raises(qt.NodeProximityError,
+                       match=r"^field evaluation guarded near a node/singular set \(min_rho"):
+        qt.force(ds, qt.Constant(1.0), [x0], 0.0)

@@ -269,7 +269,7 @@ def test_completed_rows_stop_at_zero_on_both_engines():
     osc = qt.oscillator_2d()
     t, xs, vs, status, filled, steps, stop_t, stop_x = dynamics._run_batch(
         qt.kernels.GUIDANCE, osc, qt.Constant(1.0), starts, None, np.linspace(0.0, 5.0, 6),
-        None, None, True)
+        None, None)
     done = status == qt.kernels.COMPLETED
     assert done.sum() == 11 and status[-1] == qt.kernels.SINGULAR_STOP
     assert np.all(stop_t[done] == 0.0) and np.all(stop_x[done] == 0.0)

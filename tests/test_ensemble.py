@@ -170,6 +170,22 @@ def test_distribution_metrics_structure_and_equivariance():
     assert np.ptp(ks) < 1e-4
 
 
+def test_distribution_metrics_without_a_completed_row():
+    # both starts sit on the node and stop there: no KS table is built, and
+    # the critical value has no sample count to take
+    doc = {
+        "system": {"type": "oscillator_2d"},
+        "mode": "guidance",
+        "ensemble": {"mode": "fixed", "positions": [[0.0, 0.0], [0.0, 0.0]],
+                     "velocities": [[0.0, 0.0], [0.0, 0.0]]},
+        "time": {"start": 0.0, "end": 2.0, "n_outputs": 5},
+    }
+    res = run_ensemble(build_scenario(doc))
+    assert res.truncation_report == {"singular_stop": 2}
+    assert res.distribution_metrics == {"times": [0.0, 1.0, 2.0], "n_completed": 0, "ks": {},
+                                        "ks_critical_1pct": None}
+
+
 def test_metrics_can_be_skipped():
     res = run_ensemble(build_scenario(_OSC_GUIDANCE), compute_metrics=False)
     assert res.distribution_metrics["ks"] == {}

@@ -9,6 +9,7 @@ its own.  ``_oracle_trajectories_csv``, ``_oracle_result_json`` and
 that formatted one value per call and encoded the whole document at once.
 The template writers must reproduce their bytes exactly.
 """
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,13 +26,16 @@ from qctrans.ensemble import trajectory_monitors
 from qctrans.export import (
     FieldGrid,
     _escape,
+    _nice_ticks as _ticks,
     compute_field,
+    load_result,
     write_field_csv,
     write_field_svg,
     write_result_json,
     write_trajectories_csv,
     write_trajectories_svg,
 )
+import oracles
 
 # --- oracle ---------------------------------------------------------------------
 
@@ -337,7 +341,7 @@ def test_phase_field_is_arg_psi_and_masks_the_underflow():
     assert 0 < masked.sum() < masked.size
     assert np.array_equal(masked, rho < 1e-250)
     gx, gy = np.meshgrid(grid.xs, grid.ys)
-    s = qt.systems.double_slit_s_closed(ds.params, gx[~masked], gy[~masked])
+    s = oracles.double_slit_s_closed(ds.params, gx[~masked], gy[~masked])
     assert np.abs(np.exp(1j * s) - np.exp(1j * grid.values[~masked])).max() < 1e-9
 
 
@@ -558,6 +562,49 @@ def test_strict_json_writes_no_file(where, tmp_path):
     with pytest.raises(ValueError, match="JSON compliant"):
         write_result_json(res, str(path))
     assert not (tmp_path / "new").exists()
+
+
+# a hydrogen m = 0 state does not move under guidance: two starts one above
+# the other draw one point in the xy projection
+_STILL = {
+    "system": {"type": "hydrogen", "n": 2, "l": 1, "m": 0},
+    "mode": "guidance",
+    "ensemble": {"mode": "fixed", "positions": [[1.0, 0.5, 2.0], [1.0, 0.5, -1.0]]},
+    "time": {"start": 0.0, "end": 1.0, "n_outputs": 3},
+}
+
+
+def test_trajectory_svg_pads_degenerate_and_non_finite_ranges(tmp_path):
+    res = qt.run_ensemble(qt.build_scenario(_STILL, name="still"), compute_metrics=False)
+    for tr in res.trajectories:
+        assert tr.completed and np.array_equal(tr.x[:, :2], np.tile([1.0, 0.5], (3, 1)))
+    path = tmp_path / "r.svg"
+    write_trajectories_svg(res, str(path))
+    # zero-width ranges open to one unit around the value: the point is the
+    # centre of the plot
+    assert path.read_bytes() == _oracle_trajectories_svg(res).encode()
+    assert '<circle cx="422.50" cy="298.00" r="2.5" fill="black"/>' in path.read_text()
+    res.trajectories[1].x[1, 1] = np.nan
+    write_trajectories_svg(res, str(path))
+    # a non-finite sample makes its axis the unit range
+    assert path.read_bytes() == _oracle_trajectories_svg(res).encode()
+    write_trajectories_svg(dataclasses.replace(res, trajectories=[]), str(path))
+    frame = _oracle_frame(_padded(0.0, 1.0), _padded(0.0, 1.0), "x", "y",
+                          res.scenario.annotation() + " | projection=xy")[0]
+    assert path.read_text() == "\n".join(frame) + "\n</svg>\n"
+
+
+def test_nice_ticks_of_an_empty_span_is_its_start():
+    for lo, hi in ((2.0, 2.0), (3.0, 1.0), (0.0, math.inf)):
+        assert _ticks(lo, hi) == _nice_ticks(lo, hi) == [lo]
+
+
+def test_load_result_refuses_another_schema(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"schema": "qctrans.ensemble/0", "trajectories": []}))
+    with pytest.raises(qt.ConfigurationError, match=(
+            "^schema: unsupported schema 'qctrans.ensemble/0', expected 'qctrans.ensemble/1'$")):
+        load_result(str(path))
 
 
 # --- file contract -----------------------------------------------------------

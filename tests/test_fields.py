@@ -107,6 +107,17 @@ def test_node_guard_raises():
         qt.quantum_potential(osc, np.array([1e-9, 0.0]), 0.0)
     with pytest.raises(qt.NodeProximityError):
         qt.velocity_grad_s(osc, np.array([1e-9, 0.0]), 0.0)
+    # the closed grad Q is still finite there; the node guard refuses it
+    with pytest.raises(qt.NodeProximityError, match=r"near a node/singular set \(min_rho"):
+        qt.force(osc, qt.Constant(1.0), np.array([1e-9, 0.0]), 0.0)
+
+
+def test_a_bare_callable_takes_one_to_three_components():
+    f = lambda x, t: complex(x.sum(), 1.0)
+    assert qt.density(f, np.zeros(3), 0.0) == 1.0
+    with pytest.raises(qt.InvalidParameterError,
+                       match=r"^position must have 1\.\.3 components, got shape \(2, 2\)$"):
+        qt.velocity_grad_s(f, np.zeros((2, 2)), 0.0)
 
 
 def test_node_guard_threshold_configurable():
@@ -161,17 +172,18 @@ def test_force_classical_limits():
 
 
 def test_force_quantum_routes_agree():
-    # dQ/dr = -r + 1/r^3 vanishes at r = 1, so the P=1 force there is (-1, 0)
+    # dQ/dr = -r + 1/r^3 vanishes at r = 1, so the P=1 force there is (-1, 0);
+    # force's closed grad Q against the stencil's, -grad V - qpot_gradient
     osc = qt.oscillator_2d()
     p = np.array([1.0, 0.0])
-    closed = qt.force(osc, qt.Constant(1.0), p, 0.0, use_closed=True)
-    fd = qt.force(osc, qt.Constant(1.0), p, 0.0, use_closed=False)
+    closed = qt.force(osc, qt.Constant(1.0), p, 0.0)
+    fd = -osc.params.k0 * p - qt.qpot_gradient(osc, p, 0.0)
     assert closed == pytest.approx([-1.0, 0.0], abs=1e-12)
     assert np.abs(closed - fd).max() < 1e-5
     hyd = qt.hydrogen()
     p3 = np.array([4.0, 1.0, -0.5])
-    closed3 = qt.force(hyd, qt.Constant(1.0), p3, 0.0, use_closed=True)
-    fd3 = qt.force(hyd, qt.Constant(1.0), p3, 0.0, use_closed=False)
+    closed3 = qt.force(hyd, qt.Constant(1.0), p3, 0.0)
+    fd3 = -p3 / np.linalg.norm(p3) ** 3 - qt.qpot_gradient(hyd, p3, 0.0)
     assert np.abs(closed3 - fd3).max() < 1e-5
 
 

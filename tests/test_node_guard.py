@@ -118,3 +118,26 @@ def test_one_node_guard_call_per_batch_step(kind, mode, monkeypatch):
     if mode == "guidance":
         assert len(calls) == 1 + iterations
         assert calls[1] == 6 * (res.n - 2)  # every stage of every row left
+
+
+# starts on the oscillator's node and on hydrogen's z axis, where |psi|^2 is 0
+_ON_THE_NODE = {"oscillator_2d": [[0.0, 0.0]],
+                "hydrogen": [[0.0, 0.0, 2.0], [0.0, 0.0, -1.5]]}
+
+
+@pytest.mark.parametrize("mode", ["guidance", "quantum_transition"])
+@pytest.mark.parametrize("kind", list(_STARTS))
+def test_a_node_guard_of_zero_leaves_the_stop_to_the_closed_forms(kind, mode, monkeypatch):
+    # with min_rho = 0 a start on the node passes the density guard, and the
+    # closed forms' own guards (g, g^3, s^2 or s^4 below _TINY) stop it, in
+    # the batch and in the scalar kernel alike; no row holds a NaN
+    starts = np.concatenate([_far(kind), _ON_THE_NODE[kind]])
+    res = _check_against_scalar(_doc(kind, mode, starts, numerics={"min_rho": 0.0}),
+                                monkeypatch)
+    assert res.scenario.numerics.min_rho == 0.0
+    for tr in res.trajectories[-len(_ON_THE_NODE[kind]):]:
+        assert tr.status == "singular_stop" and tr.stop_t == 0.0 and tr.t.size == 1
+    for tr in res.trajectories:
+        for rows in (tr.t, tr.x, tr.v):
+            assert np.isfinite(rows).all()
+    assert sum(res.truncation_report.values()) == res.n

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import k1
+from scipy.special import k1, ndtri
 
 import qctrans as qt
 from qctrans.sampling import (
@@ -216,6 +216,23 @@ def test_quantile_levels_hit_cdf():
     assert np.abs(cdf.cdf(pts[:, 0]) - levels).max() < 1e-9
 
 
+def test_grid_cdf_of_zero_mass_is_refused():
+    with pytest.raises(qt.ConfigurationError, match=r"^density mass on \[0, 1\] is 0\.0$"):
+        GridCDF(np.zeros_like, 0, 1)
+
+
+def test_ppf_stops_at_the_bracket_floor_of_a_steep_cdf():
+    # F climbs ~4e4 per unit through a spike of width 1e-5, so a bracket of
+    # 1e-13 cannot resolve the 1e-10 level tolerance: the bisection stops on
+    # the bracket, at the table's quantile
+    c, w = 0.1234567, 1e-5
+    cdf = GridCDF(lambda x: np.exp(-0.5 * ((x - c) / w) ** 2), -1.0, 1.0)
+    levels = np.array([0.3, 0.7])
+    miss = np.abs(cdf.cdf(cdf.ppf(levels)) - levels)
+    assert np.all(miss > qt.sampling._PPF_TOL) and np.all(miss < 1e-8)
+    assert cdf.ppf(levels) == pytest.approx(c + w * ndtri(levels), abs=1e-9)
+
+
 def test_quantile_requires_1d():
     osc = qt.oscillator_2d()
     with pytest.raises(qt.ConfigurationError):
@@ -239,6 +256,23 @@ def test_rejection_respects_domain():
     pts = qt.sample_positions(osc, qt.SamplerConfig(n=500, seed=1, domain=dom))
     assert pts.shape == (500, 2)
     assert pts.min() >= -2.0 and pts.max() <= 2.0
+
+
+def test_a_box_where_the_density_underflows_scans_no_envelope():
+    osc = qt.oscillator_2d()
+    cfg = qt.SamplerConfig(n=4, seed=0, domain=[[50.0, 51.0], [50.0, 51.0]])
+    with pytest.raises(qt.ConfigurationError,
+                       match=r"^ensemble\.envelope: bad rejection envelope 0\.0$"):
+        qt.sample_positions(osc, cfg)
+
+
+def test_rejection_gives_up_after_5000_empty_batches():
+    # an explicit envelope over the same box: no candidate is ever taken
+    osc = qt.oscillator_2d()
+    cfg = qt.SamplerConfig(n=1, seed=0, domain=[[50.0, 51.0], [50.0, 51.0]], envelope=1.0)
+    with pytest.raises(qt.ConfigurationError, match=(
+            "^ensemble: rejection sampling acceptance rate is pathologically low$")):
+        qt.sample_positions(osc, cfg)
 
 
 def test_rejection_detects_undersized_envelope():

@@ -1,6 +1,7 @@
-"""tools/code_lines.py, the code-line count the code size is measured by, and
+"""tools/code_lines.py, the code-line count the code size is measured by,
 tools/preset_digests.py, the digests of the files the presets write (the
-field maps of every quantity included)."""
+field maps of every quantity included), and tools/line_trace.py, the lines
+of the package a test run never reaches."""
 import hashlib
 import importlib.util
 import os
@@ -20,6 +21,7 @@ def _tool(name):
 
 
 code_lines = _tool("code_lines")
+line_trace = _tool("line_trace")
 preset_digests = _tool("preset_digests")
 
 
@@ -92,3 +94,46 @@ def test_preset_digests_hash_the_field_maps_of_every_quantity(tmp_path, capsys):
 def test_preset_digests_raise_on_a_failing_preset():
     with pytest.raises(RuntimeError, match="qctrans simulate --preset fig99 exited 1"):
         preset_digests.main(["fig99"])
+
+
+_TRACED = '''"""Doc."""
+import math
+
+
+def f(x):
+    if x < 0:
+        x = -x
+        return math.sqrt(x)
+    return [
+        x,
+        x + 1,
+    ]
+
+
+class A:
+    y = 2
+'''
+
+
+def test_line_trace_lists_the_branch_never_taken(tmp_path):
+    # the module's own lines, a function's body, a multi-line statement and
+    # a class body all count; only the branch f(1) skips did not run
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    path = pkg / "m.py"
+    path.write_text(_TRACED)
+    assert line_trace.executable_lines(path) == {1, 2, 5, 6, 7, 8, 9, 10, 11, 15, 16}
+    spec = importlib.util.spec_from_file_location("traced_m", path)
+    module = importlib.util.module_from_spec(spec)
+    outside = tmp_path / "o.py"
+    outside.write_text("z = 1\n")
+    with line_trace.LineTrace(pkg) as trace:
+        spec.loader.exec_module(module)
+        assert module.f(1) == [1, 2]
+        other = importlib.util.spec_from_file_location("traced_o", outside)
+        other.loader.exec_module(importlib.util.module_from_spec(other))
+    assert trace.untraced(path) == [7, 8]
+    assert list(trace.hits) == [str(path)]
+    assert line_trace.report(trace, pkg) == [
+        "m.py: 7-8", "9 of 11 executable lines ran, 2 did not"]
+    assert line_trace._ranges([1, 3, 4, 5, 9]) == "1, 3-5, 9"
