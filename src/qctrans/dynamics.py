@@ -15,8 +15,10 @@ Two engines run that method:
 * the ensemble engine ``_run_batch`` steps a whole ensemble as arrays, one
   row per trajectory with its own t, dt, output index, step count and
   halving count, through accept/reject/halve masks, on the array
-  right-hand side of :mod:`qctrans.fields`.  Finished rows leave the active
-  arrays.  A single trajectory (``integrate_guidance``,
+  right-hand side of :mod:`qctrans.fields`.  Every end of a trajectory
+  (completed, stopped at the guard or the step limit, or handed off) is
+  written by one helper, and the rows that ended leave the active arrays
+  once per step, at its top.  A single trajectory (``integrate_guidance``,
   ``integrate_transition``) is a one-row ensemble;
 * the scalar kernel ``kernels.integrate`` takes one trajectory.  Once at
   most ``_HANDOFF`` rows are active, each is handed to it at its last
@@ -142,7 +144,7 @@ def _kernel(mode, system, coupling, x0, v0, t, cfg, st, dt0, dt_min, max_steps):
     vs = np.zeros((len(t), 3))
     result = kernels.integrate(
         mode, system.sys_id, _scalars(system._par), system.dim, coupling._kind, c0, c1,
-        _scalars(_pad3(x0)), _scalars(_pad3(v0)), _scalars(t),
+        _scalars(x0), _scalars(v0), _scalars(t),
         _METHODS[cfg.method], float(dt0), float(dt_min), float(cfg.rtol), float(cfg.atol),
         int(max_steps), st.h, st.richardson, st.min_rho, xs, vs,
     )
@@ -186,7 +188,13 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
     Returns the arrays (t, xs, vs, status, filled, steps, stop_t, stop_x):
     the grid, the (n, nt, dim) samples, and per start its status code, its
     number of samples produced (the rest of its row is zero), its step
-    count and its stop time and position (zero for a completed run)."""
+    count and its stop time and position (zero for a completed run).
+
+    ``record`` writes the per-start arrays for every way a trajectory ends.
+    A row that ends at the start or in a step stays in the active arrays,
+    marked off in ``keep``, until the top of the next step, where one
+    statement drops it together with the rows handed to the scalar kernel
+    and the rows at the step limit."""
     t = _check_grid(t_grid)
     system._check_t(t)
     cfg = integrator or IntegratorConfig()
@@ -207,28 +215,35 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
     stop_t = np.zeros(n)
     stop_x = np.zeros((n, dim))
 
-    def hand_off(i, x, v, sub, dt0, done, first):
-        """Trajectory i on the scalar kernel from (x, v) over the times sub,
-        which end with the grid's; its samples from ``first`` on are kept
-        (sample 0 of a resumed run is its last state, not a grid time)."""
+    def record(i, code, nf, n_steps, s_t=None, s_x=None):
+        """The end of trajectory (or trajectories) i: its status, samples
+        filled and step count, and where a run that did not complete stopped."""
+        status[i] = code
+        filled[i] = nf
+        steps[i] = n_steps
+        if code != kernels.COMPLETED:
+            stop_t[i] = s_t
+            stop_x[i] = s_x
+
+    def hand_off(i, state, sub, dt0, done, first):
+        """Trajectory i on the scalar kernel from its state (x, or x and v)
+        over the times sub, which end with the grid's; its samples from
+        ``first`` on are kept (sample 0 of a resumed run is its last state,
+        not a grid time).  The kernel reads no v in guidance."""
         (code, nf, n_more, s_t, *s_x), kx, kv = _kernel(
-            mode, system, coupling, x, v, sub, cfg, st, dt0, dt_min, cfg.max_steps - done,
+            mode, system, coupling, state[:dim], state[dim:], sub, cfg, st, dt0, dt_min,
+            cfg.max_steps - done,
         )
         off = nt - len(sub)
         xs[i, off + first : off + nf] = kx[first:nf, :dim]
         vs[i, off + first : off + nf] = kv[first:nf, :dim]
-        status[i] = code
-        filled[i] = off + nf
-        steps[i] = done + n_more
-        if code != kernels.COMPLETED:
-            stop_t[i] = s_t
-            stop_x[i] = s_x[:dim]
+        record(i, code, off + nf, done + n_more, s_t, s_x[:dim])
 
+    y = x0.copy() if guidance else np.concatenate([x0, np.asarray(v0, dtype=float)], axis=1)
     if n <= _HANDOFF:
         # so few rows go to the kernel whole, start guard and sample 0 included
         for i in range(n):
-            hand_off(i, x0[i], np.zeros(dim) if guidance else np.asarray(v0[i], dtype=float),
-                     t, cfg.dt, 0, 0)
+            hand_off(i, y[i], t, cfg.dt, 0, 0)
         return t, xs, vs, status, filled, steps, stop_t, stop_x
 
     rhs, timed = _batch_rhs(mode, system, coupling, st)
@@ -262,46 +277,29 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
         pts.clear()
         return ok
 
-    y = x0.copy() if guidance else np.concatenate([x0, np.asarray(v0, dtype=float)], axis=1)
-    tt = np.full(n, t_list[0])
-    with np.errstate(all="ignore"):
-        f0 = stage(y)
-        ok = passed()
-    xs[:, 0] = x0
-    vs[:, 0] = np.where(ok[:, None], f0, 0.0) if guidance else y[:, dim:]
-    status[~ok] = kernels.SINGULAR_STOP
-    filled[~ok] = 1
-    stop_t[~ok] = t_list[0]
-    stop_x[~ok] = x0[~ok]
-    dt0 = float(cfg.dt)
-    if dt0 > t_end - t_list[0]:
-        dt0 = t_end - t_list[0]
+    def finish(rows, code):
+        record(idx[rows], code, gi[rows], ns[rows], tt[rows], y[rows, :dim])
 
     # the active rows; idx maps a row to its trajectory
-    idx = np.flatnonzero(ok)
-    y, f0, tt = y[idx], f0[idx], tt[idx]
-    dt = np.full(idx.size, dt0)
-    gi = np.ones(idx.size, dtype=int)
-    ns = np.zeros(idx.size, dtype=int)
-    hv = np.zeros(idx.size, dtype=int)
-
-    def finish(rows, code):
-        i = idx[rows]
-        status[i] = code
-        filled[i] = gi[rows]
-        steps[i] = ns[rows]
-        stop_t[i] = tt[rows]
-        stop_x[i] = y[rows, :dim]
+    idx = np.arange(n)
+    tt = np.full(n, t_list[0])
+    dt = np.full(n, min(float(cfg.dt), t_end - t_list[0]))
+    gi = np.ones(n, dtype=int)
+    ns = np.zeros(n, dtype=int)
+    hv = np.zeros(n, dtype=int)
 
     with np.errstate(all="ignore"):
-        while idx.size:
-            keep = np.ones(idx.size, dtype=bool)
-            if idx.size <= _HANDOFF:
+        f0 = stage(y)
+        keep = passed()
+        xs[:, 0] = x0
+        vs[:, 0] = np.where(keep[:, None], f0, 0.0) if guidance else y[:, dim:]
+        finish(~keep, kernels.SINGULAR_STOP)
+        while True:
+            if np.count_nonzero(keep) <= _HANDOFF:
                 # the scalar kernel restarts its halving count, so a row
                 # goes over only when it has none
-                for r in np.flatnonzero(hv == 0):
-                    hand_off(idx[r], y[r, :dim], np.zeros(dim) if guidance else y[r, dim:],
-                             np.array([tt[r], *t_list[gi[r]:]]), dt[r], ns[r], 1)
+                for r in np.flatnonzero(keep & (hv == 0)):
+                    hand_off(idx[r], y[r], np.array([tt[r], *t_list[gi[r]:]]), dt[r], ns[r], 1)
                     keep[r] = False
             limit = keep & ((ns >= cfg.max_steps) | (dt < dt_min))
             if limit.any():
@@ -353,9 +351,7 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                 accept = ok
             if stop.any():
                 finish(stop, kernels.SINGULAR_STOP)
-                keep = ~stop
-            else:
-                keep = np.ones(idx.size, dtype=bool)
+            keep = ~stop
 
             a = np.flatnonzero(accept)
             if a.size:
@@ -400,11 +396,8 @@ def _run_batch(mode, system: WaveField, coupling, x0, v0, t_grid, integrator,
                     dt[a] *= fac
                 dt[a] = np.minimum(dt[a], t_end - tt[a])
                 done = a[gi[a] >= nt]
-                steps[idx[done]] = ns[done]
+                record(idx[done], kernels.COMPLETED, nt, ns[done])
                 keep[done] = False
-            if not keep.all():
-                idx, y, f0, tt, dt, gi, ns, hv = (
-                    arr[keep] for arr in (idx, y, f0, tt, dt, gi, ns, hv))
 
     return t, xs, vs, status, filled, steps, stop_t, stop_x
 
@@ -428,12 +421,6 @@ def _factors(errn):
     """0.9 errn^-0.2 with Python's float pow, element by element, as the
     kernel computes it; numpy's vectorised pow rounds differently."""
     return np.array([0.9 * e ** -0.2 for e in errn.tolist()])
-
-
-def _pad3(x):
-    out = np.zeros(3)
-    out[: x.size] = x
-    return out
 
 
 def _scalars(a):

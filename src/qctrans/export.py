@@ -431,8 +431,13 @@ def _ramp_codes(stops, vals, vmin, vmax):
 def write_field_svg(grid: FieldGrid, title: str, path: str) -> None:
     """Heatmap of a field grid: one rect per cell, colored one block of rows
     at a time and written row by row.  Both clip percentiles come from one
-    partition of the finite cells' copy."""
+    partition of the finite cells' copy.  A cell's size is the spacing of
+    its axis, so each axis needs at least 2 points."""
     _check_grid(grid)
+    if min(grid.xs.size, grid.ys.size) < 2:
+        raise InvalidParameterError(
+            f"a field map needs at least 2 points per axis, got {grid.xs.size} x "
+            f"{grid.ys.size}")
     vals = grid.values
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:

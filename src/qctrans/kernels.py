@@ -514,9 +514,10 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     along the path.  Returns (status, n_filled, n_steps, stop_t, sx, sy, sz)
     where the stop fields locate the failure for status == SINGULAR_STOP.
     ``dt_min`` is the smallest step, 1e-14 max(1, span) of the whole run
-    (``dynamics._dt_min``), so a run resumed mid-way keeps it.  Without
-    numba, ``par``, ``x0v``, ``v0v`` and ``t_grid`` arrive as lists of
-    Python floats (see ``dynamics._kernel``).
+    (``dynamics._dt_min``), so a run resumed mid-way keeps it.  Only the
+    first ``dim`` entries of ``x0v`` and ``v0v`` are read, and ``v0v`` only
+    in transition mode.  Without numba, ``par``, ``x0v``, ``v0v`` and
+    ``t_grid`` arrive as lists of Python floats (see ``dynamics._kernel``).
     """
     nt = len(t_grid)
     nvar = dim if mode == GUIDANCE else 2 * dim
@@ -558,9 +559,7 @@ def integrate(mode, sys_id, par, dim, ckind, c0, c1, x0v, v0v, t_grid,
     halvings = 0
 
     while gi < nt:
-        if n_steps >= max_steps:
-            return STEP_LIMIT, gi, n_steps, t, y[0], y[1], y[2]
-        if dt < dt_min:
+        if n_steps >= max_steps or dt < dt_min:
             return STEP_LIMIT, gi, n_steps, t, y[0], y[1], y[2]
         n_steps += 1
         fail = 0

@@ -629,6 +629,19 @@ def test_mismatched_grid_fails_before_the_file_opens(tmp_path):
         assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("xs,ys", [([0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0]), ([0.0], [0.0])])
+def test_field_svg_refuses_an_axis_of_one_point_before_the_file_opens(tmp_path, xs, ys):
+    # a cell's size is its axis spacing; the CSV writer takes such a grid
+    grid = FieldGrid("Q", "x", "y", np.array(xs), np.array(ys), np.ones((len(ys), len(xs))))
+    with pytest.raises(qt.InvalidParameterError,
+                       match=f"^a field map needs at least 2 points per axis, "
+                             f"got {len(xs)} x {len(ys)}$"):
+        write_field_svg(grid, "t", str(tmp_path / "new" / "m.svg"))
+    assert not (tmp_path / "new").exists()
+    write_field_csv(grid, str(tmp_path / "m.csv"))
+    assert (tmp_path / "m.csv").read_text().count("\n") == 1 + len(xs) * len(ys)
+
+
 @pytest.mark.parametrize("text", [
     "", "plain", "a & b < c > d", "&amp; &lt;tag&gt;", "\"double\" and 'single'",
     "ψ(x, t) ≥ 0 & ρ < 1e-12", "<<&&>>", "guidance (2,1,1) <n=50>",

@@ -1,12 +1,14 @@
 """tools/code_lines.py, the code-line count the code size is measured by,
 tools/preset_digests.py, the digests of the files the presets write (the
-field maps of every quantity included), and tools/line_trace.py, the lines
-of the package a test run never reaches."""
+field maps of every quantity included), tools/engine_digests.py, the
+digests of the ensemble engine's arrays on a seeded corpus, and
+tools/line_trace.py, the lines of the package a test run never reaches."""
 import hashlib
 import importlib.util
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qctrans.cli import main
@@ -21,6 +23,7 @@ def _tool(name):
 
 
 code_lines = _tool("code_lines")
+engine_digests = _tool("engine_digests")
 line_trace = _tool("line_trace")
 preset_digests = _tool("preset_digests")
 
@@ -94,6 +97,23 @@ def test_preset_digests_hash_the_field_maps_of_every_quantity(tmp_path, capsys):
 def test_preset_digests_raise_on_a_failing_preset():
     with pytest.raises(RuntimeError, match="qctrans simulate --preset fig99 exited 1"):
         preset_digests.main(["fig99"])
+
+
+def test_engine_digests_are_repeatable_and_see_one_changed_value(capsys):
+    assert engine_digests.main(["3"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert engine_digests.main(["3"]) == 0
+    assert capsys.readouterr().out.splitlines() == first
+    cases = engine_digests.corpus(3)
+    assert len(first) == 4 and first[-1].endswith("  all")
+    arrays = [engine_digests.run(case) for case in cases]
+    assert [f"{engine_digests.digest(a)}  {case['label']}"
+            for a, case in zip(arrays, cases)] == first[:3]
+    # one sample of the first case moved by one ulp
+    xs = arrays[0][1].copy()
+    xs[0, 0, 0] = np.nextafter(xs[0, 0, 0], np.inf)
+    changed = (arrays[0][0], xs, *arrays[0][2:])
+    assert engine_digests.digest(changed) != first[0].split()[0]
 
 
 _TRACED = '''"""Doc."""
