@@ -19,10 +19,12 @@ The stencil contract:
 The array right-hand side of the ensemble engine (``_batch_rhs``) lives
 here too, next to the stencil it calls for the double slit; for the
 oscillator and hydrogen it calls the closed forms of
-:mod:`qctrans.kernels` on arrays and leaves the node guard
-(``_dense_enough``, the kernel's oscillator density and hydrogen
-recurrences) to its caller, who checks every stage point of a step in one
-call.  ``force`` is that right-hand side at one point, guard included.
+:mod:`qctrans.kernels` on arrays and leaves the node guard to its caller,
+who checks every stage point of a step in one call.  The guard,
+``_dense_enough``, compares the system's one array density
+(``WaveField._rho``, the kernel's real forms for the oscillator and
+hydrogen) with ``min_rho``.  ``force`` is that right-hand side at one
+point, guard included.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ import numpy as np
 from . import kernels
 from ._jit import _array
 from .errors import InvalidParameterError, NodeProximityError
-from .systems import WaveField, _number, _shown, hydrogen_rho
+from .systems import WaveField, _number, _shown
 
 
 @dataclass(frozen=True)
@@ -257,17 +259,10 @@ def force(system: WaveField, coupling, x, t, stencil: StencilConfig | None = Non
 # ---------------------------------------------------------------------------
 
 def _dense_enough(system, x, t, st):
-    """The node guard rho >= min_rho of the kernel's ``density``, on arrays:
-    the oscillator's density form of :mod:`qctrans.kernels` with np.exp,
-    hydrogen's real amplitude squared (``systems.hydrogen_rho``, the same
-    recurrences).  Only the double slit's density reads t."""
-    if system.kind == "oscillator_2d":
-        _, alpha, w = system._par.tolist()
-        rho = _array(kernels._oscillator_density)(w, alpha, x[:, 0], x[:, 1], np.exp)
-    elif system.kind == "hydrogen":
-        rho = hydrogen_rho(system._par, x[:, 0], x[:, 1], x[:, 2])
-    else:
-        rho = system.rho(x, t)
+    """The node guard rho >= min_rho on an (m, dim) stack of points, with
+    the system's one array density (``WaveField._rho``, which skips the
+    argument checks of ``rho``); only the double slit's reads t."""
+    rho = system._rho(x.T, t)
     return (rho >= st.min_rho) & np.isfinite(rho)
 
 

@@ -8,14 +8,14 @@ route (field queries, ``fields.force``, the batch engine's double-slit
 stencil) runs on the array layer of :mod:`qctrans.fields`.  Everything
 here is compiled with numba (see ``_jit``); the same source runs as plain
 Python when the JIT is disabled.
-The closed forms (guidance velocities, grad Q, the Coulomb grad V), the
-oscillator's density and hydrogen's Laguerre and Legendre recurrences are
-written once, as plain arithmetic: the kernel calls them on floats, and the
-array layer (the engine's right-hand side and node guard in
-:mod:`qctrans.fields`, hydrogen's density in :mod:`qctrans.systems`) on
-arrays.  The closed forms give the same bits either way; a density may
-differ in its last bits, as numpy's exp is not libm's and hydrogen's
-(2r/n)^l is a numpy power on arrays but a repeated product on floats.
+The closed forms (guidance velocities, grad Q, the Coulomb grad V) and the
+densities of the two stationary states are written once, as plain
+arithmetic: the kernel calls them on floats, and the array layer on arrays
+(the engine's right-hand side in :mod:`qctrans.fields`, and
+``WaveField.rho`` in :mod:`qctrans.systems`, the one density that the
+engine's node guard, the samplers and the field maps read).  The closed
+forms give the same bits either way; a density differs in its last bits
+only where numpy's exp is not libm's.
 Systems and coupling schedules are passed as integer codes plus flat
 float64 parameter arrays so a single compiled integrator serves every
 configuration:
@@ -26,8 +26,7 @@ configuration:
 
 The hydrogen normalisations c_rad = (2/n^2) / sqrt((n-l)...(n+l)) and
 N_lm = sqrt((2l+1) / (4 pi) / ((l-|m|+1)...(l+|m|))) are computed once per
-state by ``systems.WaveField`` and read here by the node guard's
-``density`` (and by the array density of ``systems``).
+state by ``systems.WaveField`` and read by ``_hydrogen_density``.
 
 Positions are always carried as three scalars; unused trailing coordinates
 are zero.  Status codes returned by field kernels: 0 ok, 1 singular/guarded.
@@ -109,13 +108,14 @@ def psi_double_slit(rho0, u, x_off, x, t):
 # ---------------------------------------------------------------------------
 #
 # The stationary states drop their modulus-1 phase factors from |psi|^2.
-# The oscillator's density and hydrogen's two recurrences are plain
-# arithmetic, so the same source takes floats (``density`` below) or numpy
-# arrays (``systems.hydrogen_rho`` and the engine's node guard,
-# ``fields._dense_enough``).  A primitive that differs between the two is
-# the caller's: its exp, or the sin(theta) that the Legendre recurrence needs
-# for |m| > 0 (math.sqrt(max(0, ...)) on floats, np.sqrt(np.maximum(0, ...))
-# on arrays).  Under numba a float caller passes the jitted wrappers below.
+# The oscillator's density and hydrogen's are plain arithmetic, so the same
+# source takes floats (``density`` below, the scalar kernel's node guard)
+# or numpy arrays (``WaveField._rho``, behind ``WaveField.rho`` and the
+# engine's node guard, ``fields._dense_enough``).  Each step is written in
+# operations that mean the same on both, in one order, so the bits differ
+# only in the primitives, which are the caller's: sqrt and exp (math's on
+# floats, numpy's on arrays; under numba the jitted wrappers below).  Both
+# sqrts round correctly; numpy's exp is not always libm's.
 
 if NUMBA_ENABLED:
 
@@ -142,38 +142,50 @@ def _oscillator_density(w, alpha, x0, x1, exp):
 
 
 @njit
-def _genlaguerre(k, a, x):
-    """Generalized Laguerre L_k^a(x), k >= 1, by the stable three-term
-    recurrence."""
-    prev = 1.0
-    cur = 1.0 + a - x
-    for i in range(1, k):
-        nxt = ((2.0 * i + 1.0 + a - x) * cur - (i + a) * prev) / (i + 1.0)
-        prev = cur
-        cur = nxt
-    return cur
+def _hydrogen_density(par, x0, x1, x2, sqrt, exp):
+    """(|psi|^2, R_nl, N_lm P_l^|m|(cos theta)) of the eigenstate, with
+    par = (n, l, m, c_rad, N_lm) and the caller's ``sqrt`` and ``exp``.
 
-
-@njit
-def _assoc_legendre(l, m, c, s):
-    """Associated Legendre P_l^m(c) for m >= 0, Condon-Shortley phase, with
-    s = sin(theta) from the caller (read only for m > 0); the float 1.0 for
-    l = 0."""
-    pmm = 1.0
-    if m > 0:
-        for i in range(m):
-            pmm *= -(2.0 * i + 1.0) * s
-    if l == m:
-        return pmm
-    pm1 = c * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pm1
-    pll = 0.0
-    for ll in range(m + 2, l + 1):
-        pll = ((2.0 * ll - 1.0) * c * pm1 - (ll + m - 1.0) * pmm) / (ll - m)
-        pmm = pm1
-        pm1 = pll
-    return pll
+    R_nl = c_rad rho^l e^{-rho/2} L_{n-l-1}^{2l+1}(rho), rho = 2r/n, with
+    rho^l a repeated product and L by its stable three-term recurrence
+    (L_0 is exactly 1); P_l^|m| by its recurrence from P_|m|^|m|, with the
+    Condon-Shortley phase.  The recurrences are written out here rather
+    than called: under numba an array caller runs this function's Python
+    source, which must not reach a jitted function with arrays.  Where
+    r < _TINY and l > 0 the density underflows to 0.0."""
+    n = int(par[0])
+    l = int(par[1])
+    ma = abs(int(par[2]))
+    r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    rho = 2.0 * r / n
+    rp = 1.0
+    for _ in range(l):
+        rp = rp * rho
+    rad = par[3] * rp * exp(-0.5 * rho)
+    if n - l - 1 > 0:
+        a = 2 * l + 1
+        prev = 1.0
+        cur = 1.0 + a - rho
+        for i in range(1, n - l - 1):
+            prev, cur = cur, ((2.0 * i + 1.0 + a - rho) * cur - (i + a) * prev) / (i + 1.0)
+        rad = rad * cur
+    # cos(theta) is 1 at r = 0: subtracting 0.0 - (r == 0) adds 1 there and
+    # elsewhere subtracts +0.0, which keeps the sign of a zero z / r
+    at0 = r == 0.0
+    c = x2 / (r + at0) - (0.0 - at0)
+    leg = 1.0
+    if ma > 0:
+        u = 1.0 - c * c
+        s = sqrt(0.5 * (u + abs(u)))  # sin(theta), u clipped at 0 where r underflows
+        for i in range(ma):
+            leg = leg * (-(2.0 * i + 1.0) * s)
+    if l > ma:
+        prev, leg = leg, c * (2.0 * ma + 1.0) * leg
+        for ll in range(ma + 2, l + 1):
+            prev, leg = leg, ((2.0 * ll - 1.0) * c * leg - (ll + ma - 1.0) * prev) / (ll - ma)
+    ang = par[4] * leg
+    amp = rad * ang
+    return amp * amp, rad, ang
 
 
 @njit
@@ -182,23 +194,7 @@ def density(sys_id, par, x0, x1, x2, t):
     amplitude R_nl N_lm P_l^|m|, with the normalisations c_rad and N_lm read
     from ``par``."""
     if sys_id == HYDROGEN:
-        n = int(par[0])
-        l = int(par[1])
-        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if r < _TINY and l > 0:
-            return 0.0
-        rho = 2.0 * r / n
-        rp = 1.0
-        for _ in range(l):
-            rp *= rho
-        rad = par[3] * rp * math.exp(-0.5 * rho)
-        if n - l - 1 > 0:  # L_0 is exactly 1
-            rad *= _genlaguerre(n - l - 1, 2 * l + 1, rho)
-        cth = x2 / r if r > 0.0 else 1.0
-        ma = abs(int(par[2]))
-        sth = math.sqrt(max(0.0, 1.0 - cth * cth)) if ma else 0.0
-        amp = rad * (par[4] * _assoc_legendre(l, ma, cth, sth))
-        return amp * amp
+        return _hydrogen_density(par, x0, x1, x2, _sqrt, _exp)[0]
     if sys_id == OSCILLATOR:
         return _oscillator_density(par[2], par[1], x0, x1, _exp)
     w = psi_double_slit(par[0], par[1], par[2], x0, t)

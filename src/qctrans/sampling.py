@@ -16,7 +16,8 @@ optional), which is how figure-style runs pin their starting points.
 
 Initial velocities are the phase gradient grad S at t_start.  Positions that
 land inside the node guard are perturbed by the stencil step (quantile/fixed)
-or resampled (rejection), at most 10 times each.
+or resampled (rejection), at most 10 times each; one still guarded after that
+keeps its position with velocity 0, and the run stops it at its start.
 
 Every bulk |psi|^2 evaluation here (the envelope scan, the hydrogen marginal
 quadratures and the rejection candidates) and in ``export.compute_field``
@@ -26,7 +27,10 @@ points into one reused buffer.  A rejection batch is drawn one block of
 candidates at a time: the points from the generator, in order, and the
 acceptance uniforms from a copy of it moved past the batch's points
 (``_ahead``), whose state the generator takes after the batch, so the
-stream is read at the same positions as by one whole-batch draw.  A
+stream is read at the same positions as by one whole-batch draw.  The
+draw stops after the block that holds the n-th acceptance, and the copy
+first moves past the uniforms left unread, so the generator ends where a
+whole batch leaves it.  A
 hydrogen |psi|^2 holds up to six temporaries the size of its input at
 once, ~400 kB for a block, so they stay in cache and peak memory no longer
 grows with the grid or the candidate batch.  The size is
@@ -430,7 +434,8 @@ def _rejection_sample(system, sampler, t_start, n, rng):
         # the stream; a copy of the generator reads them piece by piece
         ahead = _ahead(rng, chunk * dim)
         tops, first_bad = [], None
-        for i in range(0, chunk, _BLOCK):
+        i = 0
+        while i < chunk and got < n:
             m = min(_BLOCK, chunk - i)
             pts = lo + wid * rng.random((m, dim))
             rho = system.rho(pts, t_start)
@@ -442,12 +447,15 @@ def _rejection_sample(system, sampler, t_start, n, rng):
             take = min(n - got, keep.shape[0])
             out[got : got + take] = keep[:take]
             got += take
+            i += m
         if first_bad is not None:
             raise EnvelopeError(
                 f"density {np.max(tops):.6e} exceeds envelope {env:.6e} at {first_bad.tolist()}",
                 path="ensemble.envelope",
             )
-        rng.bit_generator.state = ahead.bit_generator.state
+        # the blocks after the n-th acceptance are neither drawn nor
+        # evaluated; the generator moves past them as past a whole batch
+        rng.bit_generator.state = _ahead(ahead, chunk - i).bit_generator.state
         proposed += chunk
         # low-acceptance boxes (3D especially) grow the proposal batch so
         # the draw stays vectorized instead of looping thousands of times
@@ -477,26 +485,25 @@ def initial_velocities(system: WaveField, positions, t_start=0.0, stencil=None,
 
     Guarded positions are replaced by ``resample()`` when it is given (the
     rejection sampler's redraw), else perturbed by the stencil step, at most
-    10 times each.  Returns (positions, velocities); positions may
-    differ from the input where retries fired.
+    10 times each.  A start still guarded after its 10th retry keeps its
+    position with velocity 0; the engine's start guard then stops it as
+    ``singular_stop`` at t0, with one sample.  Returns (positions,
+    velocities); positions may differ from the input where retries fired.
     """
     st = stencil or DEFAULT_STENCIL
     pos = np.asarray(positions, dtype=float).reshape(-1, system.dim).copy()
     vel, ok = _grad_s(system, pos, float(t_start), st)
     for i in np.flatnonzero(~ok):
-        x = pos[i].copy()
-        for attempt in range(1, _MAX_RETRIES + 1):
-            if resample is not None:
-                x = resample()
-            else:
-                x = x + st.h
+        vel[i] = 0.0
+        x = pos[i]
+        for _ in range(_MAX_RETRIES):
+            x = resample() if resample is not None else x + st.h
             try:
                 vel[i] = velocity_grad_s(system, x, t_start, st)
-                pos[i] = x
-                break
             except NodeProximityError:
-                if attempt == _MAX_RETRIES:
-                    raise
+                continue
+            pos[i] = x
+            break
     return pos, vel
 
 

@@ -15,12 +15,14 @@ stencil of :mod:`qctrans.fields`, as well as the samplers, the field grids
 and the ensemble engine's double-slit stencil.  The only other psi is the
 double slit's scalar one in :mod:`qctrans.kernels`, behind the integrator's
 one-dimensional stencil, so the two stencils cross-check each other.
-``WaveField.rho``
-of hydrogen squares the real amplitude R_nl N_lm P_l^|m| instead of
-|psi|^2: the phase factors have modulus 1, and real arithmetic is several
-times cheaper for the samplers, the KS tables and the ensemble node guard.
-Its Laguerre and Legendre recurrences are the scalar kernel's own
-(:mod:`qctrans.kernels`), called on arrays.
+``WaveField.rho`` is each system's one |psi|^2: the samplers, the
+hydrogen and double-slit KS tables, the field maps and the ensemble
+engine's node guard (through ``WaveField._rho``, the same density without
+the argument checks) read it.
+For the oscillator and hydrogen it is the scalar kernel's real form
+(:mod:`qctrans.kernels`) called on arrays, since the phase factors have
+modulus 1 and real arithmetic is several times cheaper; hydrogen's psi
+multiplies the same real factors R_nl and N_lm P_l^|m| by its phases.
 
 The two closed forms of Q here, the oscillator's and hydrogen's, are not
 the ones the integrator runs (those are in :mod:`qctrans.kernels`).  They
@@ -198,16 +200,25 @@ class WaveField:
         return hydrogen_psi(self.params, self._par, xx, yy, zz, t)
 
     def rho(self, x, t):
-        """|psi|^2; for hydrogen the square of its real amplitude."""
-        if self.kind != "hydrogen":
-            w = self.psi(x, t)
-            return (w * w.conjugate()).real
+        """|psi|^2, from ``_rho``; a stationary state's is copied out to the
+        shape of an array of times."""
         t = self._check_t(t)
-        xx, yy, zz = self._split(x)
-        rho = hydrogen_rho(self._par, xx, yy, zz)
-        if t.ndim:
+        rho = self._rho(self._split(x), t)
+        if t.ndim and self.kind != "double_slit":
             rho = np.broadcast_to(rho, np.broadcast_shapes(rho.shape, t.shape)).copy()
         return rho
+
+    def _rho(self, cols, t):
+        """|psi|^2 at the coordinate arrays ``cols``, unchecked; only the
+        double slit reads t.  The oscillator's and hydrogen's are the real
+        forms of :mod:`qctrans.kernels`, on arrays."""
+        if self.kind == "double_slit":
+            w = double_slit_psi(self.params, cols[0], t)
+            return (w * w.conjugate()).real
+        if self.kind == "oscillator_2d":
+            _, alpha, w = self._par.tolist()
+            return _oscillator_density(w, alpha, cols[0], cols[1], np.exp)
+        return _hydrogen_density(self._par, cols[0], cols[1], cols[2], np.sqrt, np.exp)[0]
 
     @property
     def has_closed(self) -> bool:
@@ -335,51 +346,26 @@ def _product(factors):
     return p
 
 
-# the recurrences of the kernel's density, for arrays
-_genlaguerre = _array(kernels._genlaguerre)
-_assoc_legendre = _array(kernels._assoc_legendre)
-
-
-def _hydrogen_real(par, x, y, z):
-    """(R_nl(r), N_lm P_l^|m|(cos theta)): the real factors of the eigenstate.
-    ``par`` is the kernel's (n, l, m, c_rad, N_lm), see ``WaveField._par``."""
-    n, l, ma = int(par[0]), int(par[1]), abs(int(par[2]))
-    r = np.sqrt(x * x + y * y + z * z)
-    rho = 2.0 * r / n
-    rad = par[3] * rho**l * np.exp(-0.5 * rho)
-    if n - l - 1 > 0:  # L_0 is exactly 1
-        rad = rad * _genlaguerre(n - l - 1, 2 * l + 1, rho)
-    if (r > 0).all():
-        cth = z / r
-    else:
-        cth = np.divide(z, r, out=np.ones_like(r), where=r > 0)
-    sth = np.sqrt(np.maximum(0.0, 1.0 - cth * cth)) if ma > 0 else 0.0
-    return rad, par[4] * _assoc_legendre(l, ma, cth, sth)
+# the real densities of the kernel, for arrays
+_oscillator_density = _array(kernels._oscillator_density)
+_hydrogen_density = _array(kernels._hydrogen_density)
 
 
 def hydrogen_psi(p: HydrogenParams, par, x, y, z, t):
-    """Eigenstate via Laguerre/Legendre recurrences (vectorized); ``par`` as
-    in ``_hydrogen_real``."""
+    """Eigenstate from the real factors R_nl and N_lm P_l^|m| of
+    ``kernels._hydrogen_density`` (vectorized); ``par`` is the kernel's
+    (n, l, m, c_rad, N_lm), see ``WaveField._par``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     ma = abs(p.m)
-    rad, ang = _hydrogen_real(par, x, y, z)
+    _, rad, ang = _hydrogen_density(par, x, y, z, np.sqrt, np.exp)
     phi = np.arctan2(y, x)
     ang = ang * np.exp(1j * ma * phi)
     if p.m < 0:
         ang = (-1.0) ** ma * np.conj(ang)
     return rad * ang * np.exp(-1j * p.energy * t)
-
-
-def hydrogen_rho(par, x, y, z):
-    """|psi|^2 as the square of the real amplitude R_nl N_lm P_l^|m|: the
-    phase factors e^{i m phi} and e^{-i E t} have modulus 1.  ``par`` as in
-    ``_hydrogen_real``."""
-    rad, ang = _hydrogen_real(par, x, y, z)
-    a = rad * ang
-    return a * a
 
 
 def _hydrogen_singular_mask(p: HydrogenParams, x, y, z):

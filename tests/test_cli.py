@@ -247,6 +247,35 @@ def test_simulate_json_is_strict_for_a_start_at_the_nucleus(tmp_path, capsys):
     assert load_result(str(out / "cfg.json"))["diagnostics"] == strict["diagnostics"]
 
 
+@pytest.mark.parametrize("mode,coupling", [
+    ("guidance", None), ("transition", {"type": "logistic", "b": 0.5, "t0": 4.0})])
+def test_a_start_the_guard_refuses_is_a_counted_stop(tmp_path, capsys, mode, coupling):
+    # (40, 0) sits so far in the oscillator's tail that ten shifts of the
+    # stencil step leave it under the node guard: it keeps its position,
+    # stops at t0 as singular_stop, and the other two starts run
+    doc = {
+        "system": {"type": "oscillator_2d"},
+        "mode": mode,
+        "ensemble": {"mode": "fixed", "positions": [[1.0, 0.0], [40.0, 0.0], [0.5, 0.5]]},
+        "time": {"start": 0.0, "end": 1.0, "n_outputs": 3},
+    }
+    if coupling:
+        doc["coupling"] = coupling
+    cfg = _cfg(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--formats", "csv,json"]) == 0
+    strict = json.loads((out / "cfg.json").read_text(), parse_constant=_refuse)
+    assert strict["truncation_report"] == {"completed": 2, "singular_stop": 1}
+    assert strict["positions0"][1] == [40.0, 0.0] and strict["velocities0"][1] == [0.0, 0.0]
+    stopped = strict["trajectories"][1]
+    assert stopped["status"] == "singular_stop" and stopped["stop_t"] == 0.0
+    assert stopped["x"] == [[40.0, 0.0]]
+    _, rows = _read_csv_rows(out / "cfg.csv")
+    assert len(rows) == 3 + 1 + 3
+    assert np.isfinite([float(c) for r in rows for c in r[2:]]).all()
+
+
 def test_simulate_svg_one_polyline_per_trajectory(tmp_path, capsys):
     out = tmp_path / "o"
     doc = dict(_OSC_GUIDANCE, output={"formats": ["svg"]})
@@ -350,6 +379,18 @@ def test_import_loads_neither_urllib_nor_concurrent_futures():
                           env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_run_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: with every import of it failing, a
+    # small rejection-sampled ensemble runs and writes all three formats
+    doc = dict(_OSC_GUIDANCE, output={"formats": ["csv", "json", "svg"]})
+    code = ("import sys; sys.modules['scipy'] = None; from qctrans.cli import main; "
+            "sys.exit(main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))")
+    proc = subprocess.run([sys.executable, "-c", code, _cfg(tmp_path, doc), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / "o")) == ["cfg.csv", "cfg.json", "cfg.svg"]
 
 
 # --- pure-python fallback parity ------------------------------------------

@@ -340,6 +340,40 @@ def test_hydrogen_rejection_draw_bits_are_pinned():
     assert _sha256(pts) == "ac1f0d929745479e66c4da4391556411054ffbf25003512feefa46a5a793d5a4"
 
 
+def _h211_draw_setup():
+    """(hydrogen, its default sampler at n = 2000 with the scanned envelope
+    given, so that only the draw evaluates the density)."""
+    hyd = qt.hydrogen()
+    env = estimate_envelope(hyd, default_domain(hyd), 0.0, 1.5)
+    return hyd, qt.SamplerConfig(n=2000, seed=0, envelope=env)
+
+
+def test_hydrogen_rejection_draw_stops_at_the_nth_acceptance(monkeypatch):
+    # batches of 4,096 and 716,679 candidates: the second is evaluated only
+    # through the block that holds the 2000th acceptance (the whole batch,
+    # 720,775 evaluations in all, before)
+    hyd, sampler = _h211_draw_setup()
+    evaluated = []
+    rho = hyd.rho
+    monkeypatch.setattr(hyd, "rho", lambda x, t: evaluated.append(len(x)) or rho(x, t))
+    pts = qt.sample_positions(hyd, sampler)
+    assert sum(evaluated) == 512_000
+    assert _sha256(pts) == "ac1f0d929745479e66c4da4391556411054ffbf25003512feefa46a5a793d5a4"
+
+
+def test_a_second_rejection_draw_reads_the_stream_after_the_whole_batch():
+    # the generator ends where a whole batch leaves it, so a second draw
+    # from it (as the guarded-start redraws make) keeps its bits; the digest
+    # is that of the draw that evaluated every candidate of each batch
+    from qctrans import sampling
+
+    hyd, sampler = _h211_draw_setup()
+    rng = sampling._rng(0)
+    sampling._rejection_sample(hyd, sampler, 0.0, 2000, rng)
+    second = sampling._rejection_sample(hyd, sampler, 0.0, 3, rng)
+    assert _sha256(second) == "0a09ca2eef94eccd4ac9e717d27a938ca3560e6e6e2d99765c260143f6f84f3e"
+
+
 def test_guarded_rejection_starts_share_one_envelope_scan(monkeypatch):
     # a raised node guard sends many hydrogen starts back for a redraw; the
     # redraws reuse the ensemble's envelope instead of scanning again
@@ -476,10 +510,13 @@ def test_node_retry_perturbs_quantile_positions():
     assert vel[0, 0] < 0 < vel[0, 1]
 
 
-def test_node_retry_exhaustion_raises():
+def test_node_retry_exhaustion_keeps_the_start_at_rest():
+    # after ten guarded shifts the start keeps its position with velocity 0,
+    # for the engine's start guard to stop it
     osc = qt.oscillator_2d()
-    with pytest.raises(qt.NodeProximityError):
-        initial_velocities(osc, [[0.0, 0.0]], 0.0, stencil=qt.StencilConfig(min_rho=1e-1))
+    pos, vel = initial_velocities(osc, [[0.0, 0.0]], 0.0, stencil=qt.StencilConfig(min_rho=1e-1))
+    assert np.array_equal(pos, [[0.0, 0.0]])
+    assert np.array_equal(vel, [[0.0, 0.0]])
 
 
 def test_node_retry_rejection_resamples():

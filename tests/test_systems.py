@@ -290,14 +290,15 @@ def test_hydrogen_real_density_matches_psi_squared(nlm):
 # sha256 (first 16 hex digits) of the float64 densities at _DENSITY_POINTS,
 # t = 0: (scalar kernels.density, array WaveField.rho).  They pin the node
 # guard's bits: any change of operation order in either density shows here.
-# The two differ from each other in the last bits (numpy's exp and pow
-# against libm's exp and a repeated product), so each has its own digest.
+# Both run the one form ``kernels._hydrogen_density``, but the two differ
+# from each other in the last bits where numpy's exp is not libm's, so each
+# has its own digest.
 _HYDROGEN_DENSITY_DIGESTS = {
     (2, 1, 1): ("85b6fe10d2d7e7b2", "5888aaeef80ff7f6"),
     (1, 0, 0): ("da12c49dc4f1fe85", "287c6b751a324f0f"),
     (3, 2, -2): ("277313e5169cf530", "bf2b54d4bc2428e8"),
     (3, 1, 0): ("5b7f777b58eac33a", "a3ece0fc03f86696"),
-    (4, 3, -1): ("18c569f6ae8b84d5", "cf40a989e0ffe075"),
+    (4, 3, -1): ("18c569f6ae8b84d5", "5e5bb0966d3fe59a"),  # rho^3 a product, not pow
     (4, 2, 1): ("78ab8d5657554ece", "716e61a2189c6943"),
     (5, 2, 1): ("5505d238dc941cf1", "57308fdb7cc4658f"),  # radial nodes
 }
@@ -331,11 +332,7 @@ _OSCILLATOR_DENSITY_DIGESTS = {
 def _guard_density(system):
     """The density that the ensemble engine's node guard
     (``fields._dense_enough``) compares with min_rho, at _DENSITY_POINTS."""
-    pts = _DENSITY_POINTS[:, :system.dim]
-    if system.kind == "oscillator_2d":
-        _, alpha, w = system._par.tolist()
-        return _array(kernels._oscillator_density)(w, alpha, pts[:, 0], pts[:, 1], np.exp)
-    return system.rho(pts, 0.0)
+    return system._rho(_DENSITY_POINTS[:, :system.dim].T, 0.0)
 
 
 @pytest.mark.parametrize("k0,alpha", list(_OSCILLATOR_DENSITY_DIGESTS))
@@ -352,9 +349,8 @@ def test_oscillator_density_bits_are_pinned(k0, alpha):
     *(("hydrogen", dict(zip("nlm", nlm))) for nlm in _HYDROGEN_DENSITY_DIGESTS),
 ])
 def test_guard_density_agrees_with_the_kernel_density(kind, params):
-    # two real paths: numpy's exp (and, for hydrogen, pow) against libm's exp
-    # and a repeated product; the largest gap at these points is 7 ulp, for
-    # (4,3,-1), whose l = 3 power differs
+    # one real form on arrays and on floats: numpy's exp against libm's; the
+    # largest gap at these points is 6 ulp, for (2,1,1) and (4,3,-1)
     system = qt.make_system(kind, **params)
     par = system._par.tolist()
     rho = _guard_density(system)
@@ -369,6 +365,31 @@ def test_guard_density_agrees_with_the_kernel_density(kind, params):
         ok = fields._dense_enough(system, _DENSITY_POINTS[:, :system.dim], t,
                                   qt.StencilConfig(min_rho=m))
         assert (ok == (rho >= m)).all(), m
+
+
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+@pytest.mark.parametrize("kind,params", [
+    *(("oscillator_2d", {"k0": k0, "alpha": alpha}) for k0, alpha in _OSCILLATOR_DENSITY_DIGESTS),
+    *(("hydrogen", dict(zip("nlm", nlm))) for nlm in _HYDROGEN_DENSITY_DIGESTS),
+])
+def test_array_density_with_libm_exp_is_the_kernel_density(kind, params):
+    # the one form, on arrays and on floats: given libm's exp on arrays as
+    # well, every bit agrees, so the gap above is numpy's exp alone
+    system = qt.make_system(kind, **params)
+    par = system._par.tolist()
+    cols = _DENSITY_POINTS[:, :system.dim].T
+
+    def exp(a):
+        return _libm_exp(a).astype(float)
+
+    if kind == "hydrogen":
+        rho = _array(kernels._hydrogen_density)(system._par, *cols, np.sqrt, exp)[0]
+    else:
+        rho = _array(kernels._oscillator_density)(par[2], par[1], *cols, exp)
+    scalar = [kernels.density(system.sys_id, par, *p, 0.0) for p in _DENSITY_POINTS.tolist()]
+    assert _digest(rho) == _digest(scalar)
 
 
 @pytest.mark.parametrize("k0,alpha", [(1.0, math.pi / 2), (2.3, 0.4), (0.5, -2.0), (1.0, 0.0)])
@@ -480,6 +501,15 @@ def test_hydrogen_rho_broadcasts_over_an_array_of_times():
     rho = hyd.rho(x, np.array([[0.0], [1.0], [2.5]]))
     assert rho.shape == (3, 2) and rho.flags.writeable
     assert np.array_equal(rho, np.broadcast_to(hyd.rho(x, 0.0), (3, 2)))
+
+
+def test_oscillator_rho_broadcasts_over_an_array_of_times():
+    # its real density is stationary too, and copied out the same way
+    osc = qt.oscillator_2d(2.3, 0.4)
+    x = np.array([[0.7, -0.2], [1.0, 2.0]])
+    rho = osc.rho(x, np.array([[0.0], [1.0], [2.5]]))
+    assert rho.shape == (3, 2) and rho.flags.writeable
+    assert np.array_equal(rho, np.broadcast_to(osc.rho(x, 0.0), (3, 2)))
 
 
 def test_hydrogen_velocity_closed_is_zero_for_m_0():
